@@ -14,7 +14,8 @@ race:
 	$(GO) test -race ./internal/...
 
 # lint runs the standard vet suite plus accuvet, the project's own
-# analyzer suite (determinism, seed discipline, metric naming) — once
+# sixteen-analyzer suite (determinism, concurrency, service-layer and
+# durability invariants; `./bin/accuvet -list` prints them) — once
 # through `go vet -vettool` exactly as CI does, and once standalone so
 # metricname can see duplicate registrations across packages.
 # staticcheck runs too when it is on PATH (CI pins its version).
@@ -25,15 +26,13 @@ lint: vet accuvet
 vet:
 	$(GO) vet ./...
 
-# The standalone pass mirrors CI: findings already recorded in the
-# committed .accuvet-baseline.json are subtracted (only new findings
-# fail), and the full verdict lands in bin/accuvet.sarif for inspection
-# or code-scanning upload. Refresh the snapshot after triaging a wave:
-#   ./bin/accuvet -write-baseline .accuvet-baseline.json ./...
+# The standalone pass mirrors CI: any live finding or wire-schema drift
+# fails, and the full verdict lands in bin/accuvet.sarif for inspection
+# or code-scanning upload.
 accuvet:
 	$(GO) build -o bin/accuvet ./cmd/accuvet
 	$(GO) vet -vettool=$(CURDIR)/bin/accuvet ./...
-	./bin/accuvet -sarif bin/accuvet.sarif -baseline .accuvet-baseline.json -wire-lock .accuwire.lock.json ./...
+	./bin/accuvet -sarif bin/accuvet.sarif -wire-lock .accuwire.lock.json ./...
 
 # vet-fix prints every accuvet finding — including ones already covered
 # by an //accu:allow directive, marked "(allowed)" — together with the

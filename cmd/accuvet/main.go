@@ -1,15 +1,10 @@
-// Command accuvet is the project's static-analysis suite: nineteen
-// analyzers that turn the simulator's determinism and concurrency
-// invariants into compile-time properties. Wave 1 (detrand, maporder,
-// seedflow, metricname) guards the deterministic record path; wave 2
-// (lockbalance, atomicmix, ctxcancel, scratchescape, errcmp) checks the
-// parallel engine's concurrency discipline with a CFG/dataflow engine;
-// wave 3 (httpbody, respwrite, lockedio, ctxflow, timerleak) audits the
-// service layer interprocedurally over a package-local call graph; wave
-// 4 (detflow, errdrop, fsyncack, wiretag, chanleak) adds value-taint
-// provenance, durability error-flow, ack-before-fsync ordering, wire-
-// schema locking, and send-leak detection. See DESIGN.md "Determinism
-// invariants & static enforcement".
+// Command accuvet is the project's static-analysis suite: sixteen
+// analyzers that turn the simulator's determinism, concurrency and
+// durability invariants into compile-time properties — from clock and
+// global-rand bans on the record path (detflow) through response-write
+// ordering in the service layers (fsyncack). `accuvet -list` prints them;
+// DESIGN.md §8 "Determinism invariants & static enforcement" tabulates
+// them by invariant, with scope.
 //
 // It runs in two modes:
 //
@@ -25,24 +20,14 @@
 //
 // -suggest prints every finding (including ones an //accu:allow
 // directive already covers, marked "allowed") together with the
-// suppression comment that would silence it — the triage surface for
-// working through a wave of new findings.
+// suppression comment that would silence it.
 //
-// -sarif writes the findings as a SARIF 2.1.0 log, including the fixes
-// property for suggested edits (standalone mode; in vettool mode set
-// ACCUVET_SARIF_DIR to collect one log per unit). -baseline subtracts a
-// committed snapshot of known findings so CI fails only on new ones and
-// prints a ratchet summary (new/fixed/suppressed) on stderr;
-// -write-baseline refreshes that snapshot and refuses to shrink it
-// without -force, so a run over a package subset cannot silently wipe
-// ratchet state.
+// -sarif writes the findings as a SARIF 2.1.0 log ("-" for stdout),
+// including the fixes property for suggested edits.
 //
 // -fix applies the machine-applicable suggested fixes (missing json
 // tags on //accu:wire structs, keying unkeyed wire literals,
-// time.Tick→time.NewTicker) atomically and gofmt-clean; combined with
-// -suggest it instead inserts //accu:allow directives (with TODO
-// reasons) above every remaining finding — the bulk-triage hammer for a
-// new analyzer wave.
+// time.Tick→time.NewTicker) atomically and gofmt-clean.
 //
 // -wire-lock diffs the //accu:wire struct schemas of the tree against a
 // committed lockfile so a silent field rename becomes a build break;
@@ -51,13 +36,11 @@ package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -77,13 +60,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		vFlag       = fs.String("V", "", "print version and exit (-V=full, for the go command)")
 		flagsFlag   = fs.Bool("flags", false, "print analyzer flags in JSON (for the go command)")
 		listFlag    = fs.Bool("list", false, "list analyzers and exit")
-		jsonFlag    = fs.Bool("json", false, "emit findings as JSON (standalone mode)")
 		suggestFlag = fs.Bool("suggest", false, "print findings with //accu:allow suppression suggestions, including already-allowed ones (standalone mode)")
 		sarifFlag   = fs.String("sarif", "", "also write findings as a SARIF 2.1.0 log to `file` (\"-\" for stdout; standalone mode)")
-		baseFlag    = fs.String("baseline", "", "subtract the findings recorded in the baseline `file`; only new findings affect the exit code (standalone mode)")
-		writeBase   = fs.String("write-baseline", "", "snapshot current findings as a baseline to `file` and exit 0 (standalone mode)")
-		fixFlag     = fs.Bool("fix", false, "apply machine-applicable suggested fixes; with -suggest, insert //accu:allow directives instead (standalone mode)")
-		forceFlag   = fs.Bool("force", false, "allow -write-baseline to shrink the baseline")
+		fixFlag     = fs.Bool("fix", false, "apply machine-applicable suggested fixes (standalone mode)")
 		wireLock    = fs.String("wire-lock", "", "diff //accu:wire struct schemas against the lock `file`; drift is a finding (standalone mode)")
 		writeWire   = fs.String("write-wire-lock", "", "snapshot //accu:wire struct schemas to the lock `file` and exit 0 (standalone mode)")
 	)
@@ -116,13 +95,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return vetUnitMode(rest[0], stderr)
 	}
 	opts := standaloneOpts{
-		json:          *jsonFlag,
 		suggest:       *suggestFlag,
 		sarifPath:     *sarifFlag,
-		baselinePath:  *baseFlag,
-		writeBaseline: *writeBase,
 		fix:           *fixFlag,
-		force:         *forceFlag,
 		wireLockPath:  *wireLock,
 		writeWireLock: *writeWire,
 	}
@@ -130,9 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // vetUnitMode analyzes one compilation unit under the go vet protocol.
-// When ACCUVET_SARIF_DIR names a directory, each unit additionally
-// drops a SARIF log there (one file per unit, named after the config),
-// so a vettool sweep can be stitched into a CI artifact.
 func vetUnitMode(cfg string, stderr io.Writer) int {
 	diags, fset, err := analysis.VetUnit(cfg, analysis.NewSuite())
 	if err != nil {
@@ -142,44 +114,14 @@ func vetUnitMode(cfg string, stderr io.Writer) int {
 	for _, d := range diags {
 		fmt.Fprintf(stderr, "%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
-	if dir := os.Getenv("ACCUVET_SARIF_DIR"); dir != "" {
-		name := strings.TrimSuffix(filepath.Base(cfg), ".cfg")
-		sum := sha256.Sum256([]byte(cfg))
-		path := filepath.Join(dir, fmt.Sprintf("%s-%x.sarif", name, sum[:4]))
-		if err := writeSARIFFile(path, fset, diags); err != nil {
-			fmt.Fprintf(stderr, "accuvet: %v\n", err)
-			return 2
-		}
-	}
 	return exitCode(len(diags))
 }
 
-// writeSARIFFile writes one SARIF log to path ("-" means stdout is the
-// caller's job, so path here is always a real file).
-func writeSARIFFile(path string, fset *token.FileSet, diags []analysis.Diagnostic) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := analysis.WriteSARIF(f, fset, diags, analysis.NewSuite()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// standaloneOpts collects the output/ratchet switches of standalone
-// mode; the mutually-independent ones compose (e.g. -sarif with
-// -baseline writes the full log but gates the exit code on new
-// findings only).
+// standaloneOpts collects the output switches of standalone mode.
 type standaloneOpts struct {
-	json          bool
 	suggest       bool
 	sarifPath     string
-	baselinePath  string
-	writeBaseline string
 	fix           bool
-	force         bool
 	wireLockPath  string
 	writeWireLock string
 }
@@ -232,12 +174,9 @@ func standaloneMode(patterns []string, stdout, stderr io.Writer, opts standalone
 		return 0
 	}
 	if opts.fix {
-		return fixMode(stderr, fset, all, opts.suggest)
+		return fixMode(stderr, fset, all)
 	}
 
-	// The SARIF log and the baseline snapshot both describe the raw
-	// verdict; the baseline subtraction below only gates what is
-	// *reported* and the exit code.
 	if opts.sarifPath != "" {
 		w := stdout
 		var f *os.File
@@ -260,49 +199,6 @@ func standaloneMode(patterns []string, stdout, stderr io.Writer, opts standalone
 			return 2
 		}
 	}
-	if opts.writeBaseline != "" {
-		next := analysis.NewBaseline(fset, all)
-		// The shrink guard: fewer tolerated findings is the ratchet
-		// working, but it is also exactly what a run over a package
-		// subset produces by accident — and that would silently delete
-		// ratchet state for everything outside the subset. Shrinking
-		// must be said out loud with -force.
-		prev, err := analysis.LoadBaseline(opts.writeBaseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "accuvet: %v\n", err)
-			return 2
-		}
-		if next.Total() < prev.Total() && !opts.force {
-			fmt.Fprintf(stderr, "accuvet: refusing to shrink baseline %s from %d to %d findings; if this run covered every package, re-run with -force\n",
-				opts.writeBaseline, prev.Total(), next.Total())
-			return 2
-		}
-		f, err := os.Create(opts.writeBaseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "accuvet: %v\n", err)
-			return 2
-		}
-		err = next.Write(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "accuvet: baseline: %v\n", err)
-			return 2
-		}
-		return 0
-	}
-	if opts.baselinePath != "" {
-		base, err := analysis.LoadBaseline(opts.baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "accuvet: %v\n", err)
-			return 2
-		}
-		diff := base.Diff(fset, all)
-		fmt.Fprintf(stderr, "accuvet: baseline %s: %d new, %d fixed, %d suppressed (baseline absorbs %d)\n",
-			opts.baselinePath, diff.New, diff.Fixed, diff.Suppressed, base.Total())
-		all = base.Filter(fset, all)
-	}
 
 	// Wire-schema drift has no single source position (the struct moved,
 	// or the lockfile is stale), so it reports as driver-level findings
@@ -321,12 +217,9 @@ func standaloneMode(patterns []string, stdout, stderr io.Writer, opts standalone
 	}
 
 	var code int
-	switch {
-	case opts.json:
-		code = printJSON(stdout, stderr, fset, all)
-	case opts.suggest:
+	if opts.suggest {
 		code = printSuggestions(stdout, fset, all)
-	default:
+	} else {
 		for _, d := range all {
 			fmt.Fprintf(stderr, "%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
 		}
@@ -338,23 +231,11 @@ func standaloneMode(patterns []string, stdout, stderr io.Writer, opts standalone
 	return code
 }
 
-// fixMode applies fixes and reports what changed. Plain -fix applies
-// the machine-applicable edits the analyzers attached; -fix -suggest
-// instead inserts an //accu:allow directive (with a TODO reason) above
-// every unsuppressed finding, folding co-located findings into one
-// directive. Exit 0 when everything applied, 1 when fixes were skipped
-// (rerun applies them once positions settle), 2 on failure.
-func fixMode(stderr io.Writer, fset *token.FileSet, all []analysis.Diagnostic, suggest bool) int {
-	diags := all
-	if suggest {
-		var err error
-		diags, err = allowInsertDiags(fset, all)
-		if err != nil {
-			fmt.Fprintf(stderr, "accuvet: %v\n", err)
-			return 2
-		}
-	}
-	res, err := analysis.ApplyFixes(fset, diags)
+// fixMode applies the machine-applicable fixes the analyzers attached
+// and reports what changed. Exit 0 when everything applied, 1 when fixes
+// were skipped (rerun applies them once positions settle), 2 on failure.
+func fixMode(stderr io.Writer, fset *token.FileSet, all []analysis.Diagnostic) int {
+	res, err := analysis.ApplyFixes(fset, all)
 	if err != nil {
 		fmt.Fprintf(stderr, "accuvet: %v\n", err)
 		return 2
@@ -369,68 +250,6 @@ func fixMode(stderr io.Writer, fset *token.FileSet, all []analysis.Diagnostic, s
 		return 1
 	}
 	return 0
-}
-
-// allowInsertDiags rewrites the diagnostic set into synthetic ones whose
-// only fix is the //accu:allow insertion: one directive per finding
-// line, with every analyzer that fired there folded into its list.
-func allowInsertDiags(fset *token.FileSet, all []analysis.Diagnostic) ([]analysis.Diagnostic, error) {
-	type site struct {
-		file string
-		line int
-	}
-	analyzers := make(map[site][]string)
-	firstPos := make(map[site]token.Pos)
-	var order []site
-	for _, d := range all {
-		if d.Suppressed {
-			continue
-		}
-		p := fset.Position(d.Pos)
-		s := site{file: p.Filename, line: p.Line}
-		if _, ok := analyzers[s]; !ok {
-			order = append(order, s)
-			firstPos[s] = d.Pos
-		}
-		if !contains(analyzers[s], d.Analyzer) {
-			analyzers[s] = append(analyzers[s], d.Analyzer)
-		}
-	}
-	srcs := make(map[string][]byte)
-	var out []analysis.Diagnostic
-	for _, s := range order {
-		src, ok := srcs[s.file]
-		if !ok {
-			var err error
-			src, err = os.ReadFile(s.file)
-			if err != nil {
-				return nil, err
-			}
-			srcs[s.file] = src
-		}
-		names := append([]string(nil), analyzers[s]...)
-		sort.Strings(names)
-		fix, ok := analysis.AllowInsertFix(fset, src, firstPos[s], strings.Join(names, ","))
-		if !ok {
-			continue
-		}
-		out = append(out, analysis.Diagnostic{
-			Pos:            firstPos[s],
-			Analyzer:       names[0],
-			Message:        "insert //accu:allow",
-			SuggestedFixes: []analysis.SuggestedFix{fix},
-		})
-	}
-	return out, nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // dedupSort orders findings by position (file, line, column, analyzer)
@@ -472,29 +291,9 @@ func dedupSort(fset *token.FileSet, diags []analysis.Diagnostic) []analysis.Diag
 	return out
 }
 
-// printJSON emits the findings as a JSON array on stdout.
-func printJSON(stdout, stderr io.Writer, fset *token.FileSet, all []analysis.Diagnostic) int {
-	type finding struct {
-		Pos        string `json:"pos"`
-		Analyzer   string `json:"analyzer"`
-		Message    string `json:"message"`
-		Suppressed bool   `json:"suppressed,omitempty"`
-	}
-	out := make([]finding, 0, len(all))
-	for _, d := range all {
-		out = append(out, finding{Pos: fset.Position(d.Pos).String(), Analyzer: d.Analyzer, Message: d.Message, Suppressed: d.Suppressed})
-	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "\t")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintf(stderr, "accuvet: %v\n", err)
-		return 2
-	}
-	return exitCode(len(all))
-}
-
 // printSuggestions writes each finding followed by the //accu:allow line
-// that would suppress it. Findings already covered by a directive are
+// that would suppress it (none for an unknown directive name, which
+// cannot be suppressed). Findings already covered by a directive are
 // marked "allowed" and do not affect the exit code, matching the plain
 // modes' verdict.
 func printSuggestions(w io.Writer, fset *token.FileSet, all []analysis.Diagnostic) int {
@@ -507,7 +306,7 @@ func printSuggestions(w io.Writer, fset *token.FileSet, all []analysis.Diagnosti
 			active++
 		}
 		fmt.Fprintf(w, "%s: %s [%s]%s\n", fset.Position(d.Pos), d.Message, d.Analyzer, status)
-		if !d.Suppressed {
+		if !d.Suppressed && d.Analyzer != analysis.AllowCheck {
 			fmt.Fprintf(w, "\tto suppress, add on the line above:\n")
 			fmt.Fprintf(w, "\t//accu:allow %s -- <why this violation is intentional>\n", d.Analyzer)
 		}

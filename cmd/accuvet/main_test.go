@@ -52,22 +52,22 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
-	if out := stderr.String(); !strings.Contains(out, "time.Now reads the clock") || !strings.Contains(out, "[detrand]") {
-		t.Fatalf("missing detrand finding in output:\n%s", out)
+	if out := stderr.String(); !strings.Contains(out, "time.Now reads the clock") || !strings.Contains(out, "[detflow]") {
+		t.Fatalf("missing detflow finding in output:\n%s", out)
 	}
 }
 
-// TestListAnalyzers: -list names all nineteen analyzers.
+// TestListAnalyzers: -list names all sixteen analyzers.
 func TestListAnalyzers(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d: %s", code, stderr.String())
 	}
 	names := []string{
-		"detrand", "maporder", "seedflow", "metricname",
-		"lockbalance", "atomicmix", "ctxcancel", "scratchescape", "errcmp",
-		"httpbody", "respwrite", "lockedio", "ctxflow", "timerleak",
-		"detflow", "errdrop", "fsyncack", "wiretag", "chanleak",
+		"detflow", "maporder", "seedflow", "metricname",
+		"lockbalance", "atomicmix", "ctxcancel", "scratchescape", "errcmp", "chanleak",
+		"httpbody", "lockedio", "ctxflow",
+		"errdrop", "fsyncack", "wiretag",
 	}
 	for _, name := range names {
 		if !strings.Contains(stdout.String(), name) {
@@ -92,14 +92,24 @@ func TestVetProtocolFlags(t *testing.T) {
 	}
 }
 
-// TestJSONOutput: findings serialize as JSON with positions.
-func TestJSONOutput(t *testing.T) {
+// TestSARIFStdout: -sarif - writes the machine-readable verdict to
+// stdout — a parseable log with no results for a clean package.
+func TestSARIFStdout(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-json", "github.com/accu-sim/accu/internal/rng"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-sarif", "-", "github.com/accu-sim/accu/internal/rng"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d: %s", code, stderr.String())
 	}
-	if got := strings.TrimSpace(stdout.String()); got != "[]" {
-		t.Errorf("clean package JSON = %q, want []", got)
+	var log struct {
+		Version string `json:"version"`
+		Runs    []struct {
+			Results []json.RawMessage `json:"results"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &log); err != nil {
+		t.Fatalf("stdout is not a SARIF log: %v\n%s", err, stdout.String())
+	}
+	if log.Version != "2.1.0" || len(log.Runs) != 1 || len(log.Runs[0].Results) != 0 {
+		t.Errorf("clean package SARIF = %s, want one run with no results", stdout.String())
 	}
 }
 
@@ -124,7 +134,7 @@ func Stamp() int64 { return time.Now().UnixNano() }
 
 // Boot is the audited exception.
 func Boot() int64 {
-	//accu:allow detrand -- startup banner only, never recorded
+	//accu:allow detflow -- startup banner only, never recorded
 	return time.Now().UnixNano()
 }
 `,
@@ -143,7 +153,7 @@ func Boot() int64 {
 	}
 	out := stdout.String()
 	for _, fragment := range []string{
-		"//accu:allow detrand",
+		"//accu:allow detflow",
 		"to suppress",
 		"(allowed)",
 	} {
@@ -161,8 +171,8 @@ func Boot() int64 {
 	}
 }
 
-// writeViolationModule lays out a throwaway module with one detrand
-// violation in a deterministic package and chdirs into it.
+// writeViolationModule lays out a throwaway module with one clock read
+// in a deterministic package (a detflow finding) and chdirs into it.
 func writeViolationModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -187,118 +197,6 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	}
 	t.Chdir(dir)
 	return dir
-}
-
-// TestBaselineRatchet drives the full ratchet cycle on a throwaway
-// module: a live finding fails the plain run, -write-baseline snapshots
-// it, -baseline then passes, and a second (new) violation fails again
-// with only the new finding reported.
-func TestBaselineRatchet(t *testing.T) {
-	dir := writeViolationModule(t)
-	base := filepath.Join(dir, "baseline.json")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("pre-baseline exit = %d, want 1\n%s", code, stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-write-baseline", base, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline exit = %d: %s", code, stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", base, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0 (finding should be absorbed):\n%s", code, stderr.String())
-	}
-	if out := stderr.String(); !strings.Contains(out, "0 new, 0 fixed, 0 suppressed") {
-		t.Errorf("missing ratchet summary in baselined run stderr:\n%s", out)
-	}
-
-	// A new violation — same analyzer, different site/message — must
-	// still fail: the baseline fingerprint is (file, analyzer, message).
-	extra := filepath.Join(dir, "internal", "core", "worse.go")
-	if err := os.WriteFile(extra, []byte(`package core
-
-import "time"
-
-// Elapsed also reads the clock.
-func Elapsed() time.Time { return time.Now() }
-`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", base, "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("new-finding exit = %d, want 1\n%s", code, stderr.String())
-	}
-	out := stderr.String()
-	if !strings.Contains(out, "worse.go") {
-		t.Errorf("new finding missing from output:\n%s", out)
-	}
-	if strings.Contains(out, "bad.go") {
-		t.Errorf("baselined finding leaked into output:\n%s", out)
-	}
-	if !strings.Contains(out, "1 new, 0 fixed") {
-		t.Errorf("ratchet summary should count the new finding:\n%s", out)
-	}
-}
-
-// TestWriteBaselineShrinkGuard: re-snapshotting over a baseline with
-// fewer findings (here: a run over a subset of packages) is refused
-// without -force, so partial runs cannot wipe ratchet state.
-func TestWriteBaselineShrinkGuard(t *testing.T) {
-	dir := writeViolationModule(t)
-	base := filepath.Join(dir, "baseline.json")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-write-baseline", base, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline exit = %d: %s", code, stderr.String())
-	}
-	before, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Fix the violation: the next snapshot would shrink from 1 to 0.
-	bad := filepath.Join(dir, "internal", "core", "bad.go")
-	if err := os.WriteFile(bad, []byte("package core\n\n// Stamp is fixed.\nfunc Stamp() int64 { return 0 }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-write-baseline", base, "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("shrinking -write-baseline exit = %d, want 2 (refused)\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "refusing to shrink baseline") {
-		t.Errorf("missing refusal message:\n%s", stderr.String())
-	}
-	after, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("refused write still modified the baseline file")
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-write-baseline", base, "-force", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline -force exit = %d: %s", code, stderr.String())
-	}
-	var b analysis.Baseline
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Total() != 0 {
-		t.Errorf("forced baseline absorbs %d findings, want 0", b.Total())
-	}
 }
 
 // writeTickModule lays out a throwaway module with a time.Tick call —
@@ -379,30 +277,6 @@ func TestFixMode(t *testing.T) {
 	}
 	if !bytes.Equal(data, again) {
 		t.Error("second -fix rewrote the file")
-	}
-}
-
-// TestFixSuggestMode: -fix -suggest inserts an //accu:allow directive
-// above a finding that has no code fix, suppressing it on the next run.
-func TestFixSuggestMode(t *testing.T) {
-	writeViolationModule(t)
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-fix", "-suggest", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-fix -suggest exit = %d\n%s", code, stderr.String())
-	}
-	data, err := os.ReadFile(filepath.Join("internal", "core", "bad.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "//accu:allow detrand -- TODO") {
-		t.Fatalf("directive not inserted:\n%s", data)
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("post-insert plain run exit = %d, want 0 (finding allowed)\n%s", code, stderr.String())
 	}
 }
 
@@ -527,15 +401,15 @@ func TestSARIFOutput(t *testing.T) {
 	if r.Tool.Driver.Name != "accuvet" {
 		t.Errorf("driver name = %q", r.Tool.Driver.Name)
 	}
-	if len(r.Tool.Driver.Rules) != 19 {
-		t.Errorf("rules table has %d entries, want 19 (one per analyzer)", len(r.Tool.Driver.Rules))
+	if len(r.Tool.Driver.Rules) != 16 {
+		t.Errorf("rules table has %d entries, want 16 (one per analyzer)", len(r.Tool.Driver.Rules))
 	}
 	if len(r.Results) == 0 {
 		t.Fatal("no results in SARIF log for a module with a violation")
 	}
 	res := r.Results[0]
-	if res.RuleID != "detrand" || res.Level != "warning" {
-		t.Errorf("result ruleId/level = %q/%q, want detrand/warning", res.RuleID, res.Level)
+	if res.RuleID != "detflow" || res.Level != "warning" {
+		t.Errorf("result ruleId/level = %q/%q, want detflow/warning", res.RuleID, res.Level)
 	}
 	loc := res.Locations[0].PhysicalLocation
 	if want := "internal/core/bad.go"; loc.ArtifactLocation.URI != want {
@@ -546,11 +420,11 @@ func TestSARIFOutput(t *testing.T) {
 	}
 }
 
-// TestVetUnitSARIFDir: in vettool mode, ACCUVET_SARIF_DIR collects one
-// SARIF log per analyzed unit. The test hand-crafts the unit.cfg the go
+// TestVetUnitMode: in vettool mode a unit's findings print on stderr
+// and set the exit code. The test hand-crafts the unit.cfg the go
 // command would pass (export data for "time" comes from go list), so it
 // exercises the real vetUnitMode path without re-execing the binary.
-func TestVetUnitSARIFDir(t *testing.T) {
+func TestVetUnitMode(t *testing.T) {
 	dir := writeViolationModule(t)
 	badGo := filepath.Join(dir, "internal", "core", "bad.go")
 
@@ -576,43 +450,12 @@ func TestVetUnitSARIFDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sarifDir := t.TempDir()
-	t.Setenv("ACCUVET_SARIF_DIR", sarifDir)
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{cfgPath}, &stdout, &stderr); code != 1 {
 		t.Fatalf("vet unit exit = %d, want 1\n%s", code, stderr.String())
 	}
-	entries, err := os.ReadDir(sarifDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("ACCUVET_SARIF_DIR holds %d files, want 1", len(entries))
-	}
-	name := entries[0].Name()
-	if !strings.HasPrefix(name, "unit-") || !strings.HasSuffix(name, ".sarif") {
-		t.Errorf("per-unit log name = %q, want unit-<hash>.sarif", name)
-	}
-	logData, err := os.ReadFile(filepath.Join(sarifDir, name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Results []struct {
-				RuleID string `json:"ruleId"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(logData, &log); err != nil {
-		t.Fatalf("per-unit SARIF does not parse: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 || len(log.Runs[0].Results) == 0 {
-		t.Fatalf("per-unit SARIF malformed: %s", logData)
-	}
-	if got := log.Runs[0].Results[0].RuleID; got != "detrand" {
-		t.Errorf("per-unit result ruleId = %q, want detrand", got)
+	if out := stderr.String(); !strings.Contains(out, "bad.go:6:") || !strings.Contains(out, "time.Now reads the clock") || !strings.Contains(out, "[detflow]") {
+		t.Errorf("missing detflow finding in vet unit output:\n%s", out)
 	}
 }
 
@@ -628,9 +471,9 @@ func TestDedupSort(t *testing.T) {
 
 	diags := []analysis.Diagnostic{
 		{Pos: posB, Analyzer: "maporder", Message: "m3"},
-		{Pos: posA1, Analyzer: "detrand", Message: "m2"},
+		{Pos: posA1, Analyzer: "detflow", Message: "m2"},
 		{Pos: posA2, Analyzer: "seedflow", Message: "m1"},
-		{Pos: posA1, Analyzer: "detrand", Message: "m2"}, // exact duplicate
+		{Pos: posA1, Analyzer: "detflow", Message: "m2"}, // exact duplicate
 	}
 	got := dedupSort(fset, diags)
 	if len(got) != 3 {

@@ -16,7 +16,10 @@
 // on the offending line, or on the line directly above it, silences the
 // named analyzers for that line. Every use of the directive should carry
 // a reason; it is the audited escape hatch for intentional violations
-// (e.g. a map iteration whose output is sorted immediately after).
+// (e.g. a map iteration whose output is sorted immediately after). A
+// name that is not in the suite suppresses nothing, so it is itself
+// reported, under the analyzer name "allow", and no directive can
+// silence that finding.
 package analysis
 
 import (
@@ -27,6 +30,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // An Analyzer describes one named check.
@@ -124,11 +128,28 @@ type allowIndex map[string]map[int]map[string]bool
 // "//") must start exactly with "accu:allow".
 var allowDirective = regexp.MustCompile(`^//accu:allow\s+([a-z0-9_,\s]+?)\s*(?:--.*)?$`)
 
+// AllowCheck is the Diagnostic.Analyzer of unknown-name findings. It is
+// not an analyzer, so no directive can name it.
+const AllowCheck = "allow"
+
+// suiteNames is the set of analyzer names a directive may use — always
+// the full suite, so a run over a subset of analyzers does not flag
+// directives meant for the others.
+var suiteNames = sync.OnceValue(func() map[string]bool {
+	names := make(map[string]bool)
+	for _, a := range NewSuite() {
+		names[a.Name] = true
+	}
+	return names
+})
+
 // buildAllowIndex scans every comment in the files for //accu:allow
 // directives. A directive covers its own line and the following line, so
-// both trailing comments and standalone comment lines work.
-func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
+// both trailing comments and standalone comment lines work. Names
+// outside the suite are returned as unsuppressed findings.
+func buildAllowIndex(fset *token.FileSet, files []*ast.File) (allowIndex, []Diagnostic) {
 	idx := make(allowIndex)
+	var unknown []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -145,6 +166,13 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
 				for _, name := range strings.FieldsFunc(m[1], func(r rune) bool {
 					return r == ',' || r == ' ' || r == '\t'
 				}) {
+					if !suiteNames()[name] {
+						unknown = append(unknown, Diagnostic{
+							Pos:      c.Pos(),
+							Analyzer: AllowCheck,
+							Message:  fmt.Sprintf("//accu:allow names %q, which is not an accuvet analyzer; the directive suppresses nothing (accuvet -list prints the suite)", name),
+						})
+					}
 					for _, line := range []int{pos.Line, pos.Line + 1} {
 						set := lines[line]
 						if set == nil {
@@ -157,7 +185,7 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
 			}
 		}
 	}
-	return idx
+	return idx, unknown
 }
 
 func (idx allowIndex) covers(fset *token.FileSet, pos token.Pos, analyzer string) bool {
@@ -191,8 +219,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // were removed", which is how regression tests pin that an annotated
 // true positive is still detected.
 func RunAnalyzersAll(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	allow := buildAllowIndex(pkg.Fset, pkg.Files)
+	allow, diags := buildAllowIndex(pkg.Fset, pkg.Files)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:    a,

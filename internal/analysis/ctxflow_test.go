@@ -13,3 +13,12 @@ func TestCtxFlow(t *testing.T) {
 		ImportPath: "example.test/internal/serv",
 	})
 }
+
+// TestTimerLeak pins the timer half of ctxflow: time.After inside a loop
+// and time.Tick anywhere, with no context in scope.
+func TestTimerLeak(t *testing.T) {
+	analysistest.Run(t, analysis.CtxFlow(), analysistest.Fixture{
+		Dir:        "testdata/src/timerleak_serv",
+		ImportPath: "example.test/internal/serv",
+	})
+}

@@ -217,40 +217,3 @@ func applyFileFixes(file string, plans []fixPlan, res *FixResult) (bool, error) 
 	res.Applied += applied
 	return true, nil
 }
-
-// AllowInsertFix builds the //accu:allow insertion for one finding site
-// — the -fix -suggest composition: the directive lands on its own line
-// directly above the finding, indented to match, with a TODO reason a
-// human must fill in. analyzers is the comma-joined list to suppress, so
-// the driver can fold co-located findings into one directive. Not
-// machine-applicable in spirit (it changes the audit surface, not the
-// code), so the driver only builds it on request.
-func AllowInsertFix(fset *token.FileSet, src []byte, pos token.Pos, analyzers string) (SuggestedFix, bool) {
-	p := fset.Position(pos)
-	tf := fset.File(pos)
-	if tf == nil || p.Line < 1 || p.Line > tf.LineCount() {
-		return SuggestedFix{}, false
-	}
-	lineStart := tf.LineStart(p.Line)
-	off := tf.Offset(lineStart)
-	if off > len(src) {
-		return SuggestedFix{}, false
-	}
-	indent := ""
-	for _, r := range string(src[off:]) {
-		if r == ' ' || r == '\t' {
-			indent += string(r)
-			continue
-		}
-		break
-	}
-	return SuggestedFix{
-		Message:           "suppress with an //accu:allow directive (fill in the reason)",
-		MachineApplicable: true,
-		Edits: []TextEdit{{
-			Pos:     lineStart,
-			End:     lineStart,
-			NewText: indent + "//accu:allow " + analyzers + " -- TODO: justify this intentional violation\n",
-		}},
-	}, true
-}

@@ -75,11 +75,11 @@ func checkFixedFile(t *testing.T, dir, want string) {
 
 func TestFixTimerLeakGolden(t *testing.T) {
 	dir := copyFixture(t, "testdata/src/fixgolden_tick")
-	res := runFix(t, analysis.TimerLeak(), dir)
+	res := runFix(t, analysis.CtxFlow(), dir)
 	if res.Applied != 1 || res.Skipped != 0 || len(res.Files) != 1 {
 		t.Fatalf("first pass: applied=%d skipped=%d files=%v, want 1/0/1 file", res.Applied, res.Skipped, res.Files)
 	}
-	checkFixedFile(t, dir, `// Package sim is the timerleak autofix golden fixture: one time.Tick
+	checkFixedFile(t, dir, `// Package sim is the time.Tick autofix golden fixture: one time.Tick
 // call whose machine-applicable fix rewrites it to time.NewTicker(d).C.
 package sim
 
@@ -98,7 +98,7 @@ func poll(stop chan struct{}) {
 
 	// Idempotency: the fix resolved the finding, so a second pass has
 	// nothing to do.
-	res = runFix(t, analysis.TimerLeak(), dir)
+	res = runFix(t, analysis.CtxFlow(), dir)
 	if res.Applied != 0 || len(res.Files) != 0 {
 		t.Fatalf("second pass not a no-op: applied=%d files=%v", res.Applied, res.Files)
 	}
@@ -129,56 +129,6 @@ func mk() Header {
 	res = runFix(t, analysis.WireTag(), dir)
 	if res.Applied != 0 || len(res.Files) != 0 {
 		t.Fatalf("second pass not a no-op: applied=%d files=%v", res.Applied, res.Files)
-	}
-}
-
-// TestFixAllowInsert covers the -fix -suggest composition: inserting an
-// //accu:allow directive above the finding suppresses it on the next
-// run.
-func TestFixAllowInsert(t *testing.T) {
-	dir := copyFixture(t, "testdata/src/fixgolden_tick")
-	fset, _, diags := analysistest.Diagnostics(t, analysis.TimerLeak(), analysistest.Fixture{
-		Dir:        dir,
-		ImportPath: "example.test/internal/sim",
-	})
-	if len(diags) != 1 {
-		t.Fatalf("got %d findings, want 1", len(diags))
-	}
-	src, err := os.ReadFile(filepath.Join(dir, "fixture.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fix, ok := analysis.AllowInsertFix(fset, src, diags[0].Pos, "timerleak")
-	if !ok {
-		t.Fatal("AllowInsertFix failed to build")
-	}
-	synthetic := []analysis.Diagnostic{{
-		Pos:            diags[0].Pos,
-		Analyzer:       "timerleak",
-		Message:        "insert //accu:allow",
-		SuggestedFixes: []analysis.SuggestedFix{fix},
-	}}
-	res, err := analysis.ApplyFixes(fset, synthetic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Applied != 1 || len(res.Files) != 1 {
-		t.Fatalf("allow insert: applied=%d files=%v", res.Applied, res.Files)
-	}
-
-	fixed, err := os.ReadFile(filepath.Join(dir, "fixture.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(fixed, []byte("//accu:allow timerleak -- TODO: justify this intentional violation")) {
-		t.Fatalf("directive not inserted:\n%s", fixed)
-	}
-	_, _, after := analysistest.Diagnostics(t, analysis.TimerLeak(), analysistest.Fixture{
-		Dir:        dir,
-		ImportPath: "example.test/internal/sim",
-	})
-	if len(after) != 0 {
-		t.Fatalf("finding not suppressed after allow insert: %v", after)
 	}
 }
 

@@ -2,84 +2,179 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
 
-// FsyncAck returns the ack-after-durable analyzer for the service
-// layers: an HTTP handler in internal/serv or internal/dist must not
-// write a success response before the durable commit on that path. The
-// distributed exactly-once protocol rides on this ordering — a worker
-// treats an acked upload as committed, so a coordinator that responds
-// 200 and then fsyncs has promised durability it does not yet have; a
-// crash in the gap loses acknowledged cells (DESIGN §10,
-// fsync-before-ack).
+// FsyncAck returns the response-write analyzer. One recognizer of
+// http.ResponseWriter write events, one "helper writes parameter w"
+// summary and one forward dataflow per function body yield two findings:
 //
-// Response-write events are tracked per handler over the CFG: a call to
-// WriteHeader/Write on the handler's http.ResponseWriter parameter, or
-// passing that parameter to an in-package helper that writes it
-// (ParamSummary marks writeJSON-shaped helpers bottom-up). Helpers whose
-// name contains "Error" are exempt — error envelopes ack a failure, and
-// the durability contract only covers success acks. Durable commits are
-// the errdrop root set (journal Commit/Sync, store writes, atomic
-// renames) plus in-package functions PropagateUp summarizes as reaching
-// one. A durable call reached while a response-written fact is live is
-// the violation, reported with the commit's chain witness.
+//  1. Double commit, in every package: on any one CFG path a writer's
+//     header must be committed at most once. The classic bug shape is a
+//     handler that writes an error envelope and falls through instead of
+//     returning — the success body then lands on top of the error status
+//     and net/http logs "superfluous WriteHeader".
+//  2. Ack before durable, in internal/serv and internal/dist: a handler
+//     must not write a success response before the durable commit on
+//     that path. The distributed exactly-once protocol rides on this
+//     ordering — a worker treats an acked upload as committed, so a
+//     coordinator that responds 200 and then fsyncs has promised
+//     durability it does not yet have; a crash in the gap loses
+//     acknowledged cells (DESIGN §10, fsync-before-ack).
+//
+// Write events: w.WriteHeader and the http.Error/NotFound/Redirect family
+// are explicit commits; w.Write is an implicit one (it commits 200 on
+// first use). Passing w to an in-package helper whose parameter the
+// call-graph summary marks as written (writeJSON-shaped envelopes, through
+// any number of helper hops) is an explicit commit. A second event on a
+// path where the header is already committed reports only when it is
+// explicit — WriteHeader-then-many-Writes (an SSE stream) is the normal
+// shape and stays silent.
+//
+// Every event on the handler's own ResponseWriter parameter is an ack,
+// except error envelopes: the http.Error family and helpers whose name
+// contains "Error" ack a failure, and the durability contract only covers
+// success acks. Durable commits are the errdrop root set (journal
+// Commit/Sync, store writes, atomic renames) plus in-package functions
+// PropagateUp summarizes as reaching one. A durable call reached while an
+// ack is live is the violation, reported with the commit's chain witness.
+// Calls in function literals and go statements run off the path and are
+// not events.
 //
 // Post-ack best-effort persistence (a cache write after responding) is
 // the audited exception: //accu:allow fsyncack -- <why>.
 func FsyncAck() *Analyzer {
 	a := &Analyzer{
 		Name: "fsyncack",
-		Doc: "flag HTTP handler paths in internal/serv and internal/dist that " +
-			"write a response before the durable commit on that path " +
-			"(ack-after-fsync ordering)",
+		Doc: "flag HTTP handler paths that commit a response header twice " +
+			"(an error envelope written and then fallen through), and, in " +
+			"internal/serv and internal/dist, that write a success response " +
+			"before the durable commit on that path (fsync-before-ack)",
 	}
 	a.Run = func(pass *Pass) error {
-		if !pkgPathIn(pass.Path, []string{"internal/serv", "internal/dist"}) {
-			return nil
-		}
 		cg := NewCallGraph(pass.Pkg, pass.Info, pass.Files)
-
-		seeds := make(map[*types.Func]string)
-		for _, fn := range cg.Funcs() {
-			if desc := intrinsicDurable(pass, cg.DeclOf(fn)); desc != "" {
-				seeds[fn] = desc
-			}
-		}
-		durable := cg.PropagateUp(seeds, func(e CallEdge) bool { return !e.Async })
-
 		// writers[fn][i]: parameter i of fn is an http.ResponseWriter the
-		// body (transitively) writes to.
-		writers := cg.ParamSummary(pass.Info, func(fn *types.Func, decl *ast.FuncDecl, p *types.Var) bool {
-			if decl == nil || decl.Body == nil || !isResponseWriter(p.Type()) {
-				return false
-			}
-			found := false
-			ast.Inspect(decl.Body, func(n ast.Node) bool {
-				if found {
-					return false
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					if respWriterMethod(pass, call) == p {
-						found = true
-					}
-				}
-				return true
-			})
-			return found
+		// body (transitively) commits.
+		writers := cg.ParamSummary(pass.Info, func(_ *types.Func, decl *ast.FuncDecl, p *types.Var) bool {
+			return paramWritten(pass, decl, p)
 		}, nil)
 
-		funcBodies(pass.Files, func(enclosing ast.Node, body *ast.BlockStmt) {
-			rw := responseWriterParam(pass, enclosing)
-			if rw == nil {
-				return
+		var durable map[*types.Func]string
+		ackScope := pkgPathIn(pass.Path, []string{"internal/serv", "internal/dist"})
+		if ackScope {
+			seeds := make(map[*types.Func]string)
+			for _, fn := range cg.Funcs() {
+				if desc := intrinsicDurable(pass, cg.DeclOf(fn)); desc != "" {
+					seeds[fn] = desc
+				}
 			}
-			checkAckOrder(pass, cg, durable, writers, rw, body)
+			durable = cg.PropagateUp(seeds, func(e CallEdge) bool { return !e.Async })
+		}
+
+		funcBodies(pass.Files, func(enclosing ast.Node, body *ast.BlockStmt) {
+			var rw types.Object
+			if ackScope {
+				rw = responseWriterParam(pass, enclosing)
+			}
+			checkResponseWrites(pass, cg, writers, durable, rw, body)
 		})
 		return nil
 	}
 	return a
+}
+
+func isResponseWriter(t types.Type) bool {
+	return isNamed(t, "net/http", "ResponseWriter")
+}
+
+// httpHeaderHelpers are the net/http package functions that commit the
+// response header of their first argument.
+var httpHeaderHelpers = map[string]bool{
+	"Error": true, "NotFound": true, "Redirect": true, "ServeFile": true, "ServeContent": true,
+}
+
+// writeEvent is one response write: the writer it commits, whether the
+// commit is explicit (a header write rather than a body Write), and
+// whether it acknowledges success.
+type writeEvent struct {
+	w        types.Object
+	explicit bool
+	ack      bool
+}
+
+// writerIdent returns the object of expr when it is a plain
+// ResponseWriter-typed identifier.
+func writerIdent(pass *Pass, expr ast.Expr) types.Object {
+	id, ok := ast.Unparen(expr).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if o := pass.Info.Uses[id]; o != nil && isResponseWriter(o.Type()) {
+		return o
+	}
+	return nil
+}
+
+// directWriteEvent recognizes a write that does not go through an
+// in-package helper: w.WriteHeader / w.Write, or the http.Error family
+// (an error envelope, so never an ack).
+func directWriteEvent(pass *Pass, call *ast.CallExpr) (writeEvent, bool) {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok &&
+		(sel.Sel.Name == "WriteHeader" || sel.Sel.Name == "Write") {
+		if o := writerIdent(pass, sel.X); o != nil {
+			return writeEvent{w: o, explicit: sel.Sel.Name == "WriteHeader", ack: true}, true
+		}
+	}
+	if f := calleeFunc(pass, call); f != nil && f.Pkg() != nil &&
+		f.Pkg().Path() == "net/http" && httpHeaderHelpers[f.Name()] && len(call.Args) > 0 {
+		if o := writerIdent(pass, call.Args[0]); o != nil {
+			return writeEvent{w: o, explicit: true}, true
+		}
+	}
+	return writeEvent{}, false
+}
+
+// responseWriteEvent extends directWriteEvent with in-package helpers: a
+// call passing a writer to a parameter the summary marks as written is an
+// explicit commit of that writer, and an ack unless the helper is an
+// error envelope.
+func responseWriteEvent(pass *Pass, cg *CallGraph, writers map[*types.Func]map[int]bool, call *ast.CallExpr) (writeEvent, bool) {
+	if ev, ok := directWriteEvent(pass, call); ok {
+		return ev, true
+	}
+	callee := cg.StaticCallee(pass.Info, call)
+	if callee == nil {
+		return writeEvent{}, false
+	}
+	for j, arg := range call.Args {
+		if !writers[callee][j] {
+			continue
+		}
+		if o := writerIdent(pass, arg); o != nil {
+			return writeEvent{w: o, explicit: true, ack: !strings.Contains(callee.Name(), "Error")}, true
+		}
+	}
+	return writeEvent{}, false
+}
+
+// paramWritten is the intrinsic summary: the body writes parameter p
+// through a direct event.
+func paramWritten(pass *Pass, decl *ast.FuncDecl, p *types.Var) bool {
+	if decl == nil || decl.Body == nil || !isResponseWriter(p.Type()) {
+		return false
+	}
+	found := false
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if ev, ok := directWriteEvent(pass, call); ok && ev.w == p {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // responseWriterParam returns the object of enclosing's
@@ -107,95 +202,60 @@ func responseWriterParam(pass *Pass, enclosing ast.Node) types.Object {
 	return nil
 }
 
-// respWriterMethod returns the parameter object when call is
-// rw.WriteHeader(...) or rw.Write(...) on a ResponseWriter-typed ident.
-func respWriterMethod(pass *Pass, call *ast.CallExpr) types.Object {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "WriteHeader" && sel.Sel.Name != "Write") {
-		return nil
-	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	obj := pass.Info.Uses[id]
-	if obj == nil || !isResponseWriter(obj.Type()) {
-		return nil
-	}
-	return obj
-}
+// ackFact marks "a success response has been written to the handler's
+// ResponseWriter on this path". Commit facts are keyed by the writer
+// object itself.
+type ackFact struct{}
 
-// ackFact marks "a response has been written to rw on this path".
-type ackFact struct{ rw types.Object }
-
-// checkAckOrder runs the response-before-durable dataflow over one
-// handler body.
-func checkAckOrder(pass *Pass, cg *CallGraph, durable map[*types.Func]string, writers map[*types.Func]map[int]bool, rw types.Object, body *ast.BlockStmt) {
+// checkResponseWrites runs the response-write dataflow over one body.
+// The fixpoint pass records first-commit and ack facts; a second
+// deterministic walk over each block replays the transfer with
+// reporting enabled (the engine re-runs transfers, so they must stay
+// side-effect-free). rw is the handler's writer when the body is in
+// ack-ordering scope, nil otherwise.
+func checkResponseWrites(pass *Pass, cg *CallGraph, writers map[*types.Func]map[int]bool, durable map[*types.Func]string, rw types.Object, body *ast.BlockStmt) {
 	cfg := NewCFG(body)
-	transfer := func(n ast.Node, facts Facts) {
+	apply := func(n ast.Node, facts Facts, report bool) {
 		walkBlockNode(n, false, func(m ast.Node) bool {
-			switch m.(type) {
-			case *ast.FuncLit, *ast.GoStmt:
+			if _, ok := m.(*ast.GoStmt); ok {
 				return false
 			}
 			call, ok := m.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			if ackWrite(pass, cg, writers, rw, call) {
-				facts[ackFact{rw}] = call.Pos()
+			ev, ok := responseWriteEvent(pass, cg, writers, call)
+			if !ok {
+				return true
+			}
+			if prev, committed := facts[ev.w]; !committed {
+				facts[ev.w] = call.Pos()
+			} else if ev.explicit && report {
+				pass.Reportf(call.Pos(),
+					"response header already committed on this path (first written at line %d); add a return after writing the error envelope",
+					pass.Fset.Position(prev).Line)
+			}
+			if ev.ack && ev.w == rw {
+				facts[ackFact{}] = call.Pos()
 			}
 			return true
 		})
 	}
-	in, _ := cfg.ForwardMay(transfer)
+	in, _ := cfg.ForwardMay(func(n ast.Node, facts Facts) { apply(n, facts, false) })
 	for _, b := range cfg.Blocks {
 		facts := in[b].clone()
 		for _, n := range b.Nodes {
-			reportDurableAfterAck(pass, cg, durable, n, facts)
-			transfer(n, facts)
+			if ackPos, acked := facts[ackFact{}]; acked {
+				reportDurableAfterAck(pass, cg, durable, n, ackPos)
+			}
+			apply(n, facts, true)
 		}
 	}
 }
 
-// ackWrite reports whether call writes a response to rw: a direct
-// WriteHeader/Write, or rw passed to an in-package writer-summarized
-// parameter of a non-"Error" helper.
-func ackWrite(pass *Pass, cg *CallGraph, writers map[*types.Func]map[int]bool, rw types.Object, call *ast.CallExpr) bool {
-	if respWriterMethod(pass, call) == rw {
-		return true
-	}
-	callee := cg.StaticCallee(pass.Info, call)
-	if callee == nil || strings.Contains(callee.Name(), "Error") {
-		return false
-	}
-	marked := writers[callee]
-	if marked == nil {
-		return false
-	}
-	for i, arg := range call.Args {
-		if !marked[i] {
-			continue
-		}
-		if id, ok := ast.Unparen(arg).(*ast.Ident); ok && pass.Info.Uses[id] == rw {
-			return true
-		}
-	}
-	return false
-}
-
-// reportDurableAfterAck reports durable calls inside one block node
-// while an ack fact is live.
-func reportDurableAfterAck(pass *Pass, cg *CallGraph, durable map[*types.Func]string, n ast.Node, facts Facts) {
-	if len(facts) == 0 {
-		return
-	}
-	var ackPos = facts[ackFact{}]
-	for k, p := range facts {
-		if _, ok := k.(ackFact); ok {
-			ackPos = p
-		}
-	}
+// reportDurableAfterAck reports the durable calls inside one block node,
+// which runs after the ack at ackPos.
+func reportDurableAfterAck(pass *Pass, cg *CallGraph, durable map[*types.Func]string, n ast.Node, ackPos token.Pos) {
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch m.(type) {
 		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:

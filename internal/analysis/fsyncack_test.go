@@ -31,3 +31,12 @@ func TestFsyncAckOutOfScope(t *testing.T) {
 		t.Fatalf("fsyncack out of scope reported %d findings, want 0: %v", len(diags), diags)
 	}
 }
+
+// TestRespWrite pins the double-commit half of fsyncack: a header
+// committed twice on one path, directly or through envelope helpers.
+func TestRespWrite(t *testing.T) {
+	analysistest.Run(t, analysis.FsyncAck(), analysistest.Fixture{
+		Dir:        "testdata/src/respwrite_serv",
+		ImportPath: "example.test/internal/serv",
+	})
+}

@@ -19,7 +19,7 @@ func sarifFixture() (*token.FileSet, []Diagnostic) {
 		{Pos: fa.Pos(10), Analyzer: "lockedio", Message: "blocking call os.WriteFile while s.mu.Lock() is held"},
 		{Pos: fa.Pos(500), Analyzer: "lockedio", Message: "blocking call os.WriteFile while s.mu.Lock() is held"},
 		{Pos: fb.Pos(42), Analyzer: "httpbody", Message: "response body is never closed"},
-		{Pos: fb.Pos(700), Analyzer: "timerleak", Message: "time.Tick leaks its Ticker", Suppressed: true},
+		{Pos: fb.Pos(700), Analyzer: "ctxflow", Message: "time.Tick leaks its Ticker", Suppressed: true},
 	}
 }
 
@@ -85,7 +85,7 @@ func TestWriteSARIFSuppressions(t *testing.T) {
 	for _, res := range log.Runs[0].Results {
 		if len(res.Suppressions) > 0 {
 			suppressed++
-			if res.RuleID != "timerleak" {
+			if res.RuleID != "ctxflow" {
 				t.Errorf("unexpected suppression on %s result", res.RuleID)
 			}
 			if res.Suppressions[0].Kind != "inSource" {

@@ -1,47 +1,47 @@
 package analysis
 
-// NewSuite returns fresh instances of the nineteen accuvet analyzers, in
-// the order they report:
+// NewSuite returns fresh instances of the sixteen accuvet analyzers,
+// grouped by the invariant they enforce (DESIGN §8 has the scope table):
 //
-// Wave 1 — determinism invariants (AST + object identity):
+// Determinism — the record path is a pure function of the seed tree:
 //
-//	detrand       — no clock / global rand / env reads on the record path
+//	detflow       — no clock/env/global-rand reads on the record path;
+//	                no such value, nor map order, reaches a digest,
+//	                sketch or summary input
 //	maporder      — no order-dependent effects under map iteration
 //	seedflow      — one Split per seed consumer
 //	metricname    — obs metric names match the convention, one kind per name
 //
-// Wave 2 — concurrency invariants (CFG + forward dataflow):
+// Concurrency — the parallel engine's locking and goroutine discipline:
 //
 //	lockbalance   — every Lock released on every CFG path; no lock copies
 //	atomicmix     — no variable accessed both atomically and plainly
 //	ctxcancel     — cancel funcs invoked on every path, never dropped
 //	scratchescape — per-worker scratch never escapes its worker goroutine
 //	errcmp        — errors.Is for module sentinels, not == (wrapping-safe)
+//	chanleak      — no goroutine left blocked on an unreceived unbuffered send
 //
-// Wave 3 — service-layer invariants (package-local call graph + CFG):
+// Service layer — handlers and clients that wait, write and commit:
 //
 //	httpbody      — every *http.Response body closed on all paths, drained
-//	respwrite     — response header committed once per path, via helpers
 //	lockedio      — no blocking I/O reachable while a mutex is held
-//	ctxflow       — outgoing requests carry a context; poll loops consult it
-//	timerleak     — no time.After in loops, no time.Tick at all
+//	ctxflow       — outgoing requests carry a context; poll loops consult
+//	                it; no time.After in loops, no time.Tick at all
 //
-// Wave 4 — flow-based invariants (interprocedural taint engine + CFG):
+// Durability — acknowledged work survives a crash:
 //
-//	detflow       — no clock/env/rand/map-order value reaches a digest,
-//	                sketch or summary input in the deterministic packages
 //	errdrop       — no discarded error on a durability-critical call chain
-//	fsyncack      — handlers commit durably before writing the response
+//	fsyncack      — one header commit per path; handlers commit durably
+//	                before writing a success response
 //	wiretag       — //accu:wire structs carry explicit unique json tags,
 //	                no unkeyed literals; feeds the wire-schema lockfile
-//	chanleak      — no goroutine left blocked on an unreceived unbuffered send
 //
 // Instances hold per-run state (metricname's cross-package duplicate
 // table), so every checker invocation must call NewSuite rather than
 // sharing analyzers globally.
 func NewSuite() []*Analyzer {
 	return []*Analyzer{
-		Detrand(),
+		Detflow(),
 		MapOrder(),
 		SeedFlow(),
 		MetricNames(),
@@ -50,15 +50,12 @@ func NewSuite() []*Analyzer {
 		CtxCancel(),
 		ScratchEscape(),
 		ErrCmp(),
+		ChanLeak(),
 		HTTPBody(),
-		RespWrite(),
 		LockedIO(),
 		CtxFlow(),
-		TimerLeak(),
-		Detflow(),
 		ErrDrop(),
 		FsyncAck(),
 		WireTag(),
-		ChanLeak(),
 	}
 }

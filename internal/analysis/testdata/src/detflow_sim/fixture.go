@@ -45,12 +45,12 @@ func throughHelper(s *Summary) {
 func scale(x float64) float64 { return x * 2 }
 
 func throughParam(s *Summary) {
-	s.Collect(scale(rand.Float64())) // want `global-rand-tainted value reaches deterministic sink \(Summary\)\.Collect`
+	s.Collect(scale(rand.Float64())) // want `global-rand-tainted value reaches deterministic sink \(Summary\)\.Collect` `math/rand\.Float64 bypasses the internal/rng seed tree`
 }
 
 func envRead(s *Summary) {
-	mode := os.Getenv("ACCU_MODE")
-	s.Collect(float64(len(mode))) // want `env-tainted value reaches deterministic sink \(Summary\)\.Collect`
+	mode := os.Getenv("ACCU_MODE") // want `os\.Getenv makes .* depend on the process environment`
+	s.Collect(float64(len(mode)))  // want `env-tainted value reaches deterministic sink \(Summary\)\.Collect`
 }
 
 func mapOrder(s *Summary, weights map[int]float64) {

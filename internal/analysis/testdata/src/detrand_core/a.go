@@ -48,6 +48,6 @@ func seededIsFine(seed rng.Seed) int {
 }
 
 func allowed() time.Time {
-	//accu:allow detrand -- fixture: directive must suppress the finding
+	//accu:allow detflow -- fixture: directive must suppress the finding
 	return time.Now()
 }

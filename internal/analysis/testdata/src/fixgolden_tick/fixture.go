@@ -1,4 +1,4 @@
-// Package sim is the timerleak autofix golden fixture: one time.Tick
+// Package sim is the time.Tick autofix golden fixture: one time.Tick
 // call whose machine-applicable fix rewrites it to time.NewTicker(d).C.
 package sim
 

@@ -61,5 +61,5 @@ func helperChain(w http.ResponseWriter, ok bool) {
 
 func allowedDouble(w http.ResponseWriter) {
 	w.WriteHeader(http.StatusOK)
-	w.WriteHeader(http.StatusOK) //accu:allow respwrite -- exercising net/http's superfluous-WriteHeader log in a test
+	w.WriteHeader(http.StatusOK) //accu:allow fsyncack -- exercising net/http's superfluous-WriteHeader log in a test
 }

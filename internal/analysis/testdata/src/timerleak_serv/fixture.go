@@ -56,7 +56,7 @@ func allowedAfter(done chan struct{}) {
 		select {
 		case <-done:
 			return
-		case <-time.After(time.Minute): //accu:allow timerleak -- long-period watchdog, one live timer is acceptable
+		case <-time.After(time.Minute): //accu:allow ctxflow -- long-period watchdog, one live timer is acceptable
 		}
 	}
 }

@@ -40,6 +40,7 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// Kept local rather than shared with internal/serv: fsyncack summarizes helpers per package, so a shared writeJSON would hide these success acks from its ack-before-fsync check.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
