@@ -124,11 +124,8 @@ func DefaultWeights() Weights { return core.DefaultWeights() }
 // NewABM builds the Adaptive Benefit Maximization policy.
 func NewABM(w Weights, opts ...core.Option) (*ABM, error) { return core.NewABM(w, opts...) }
 
-// WithFullRescan disables ABM's lazy re-scoring (ablation).
-func WithFullRescan() core.Option { return core.WithFullRescan() }
-
 // WithMetrics records ABM's work counters (heap pops, stale skips,
-// rescores, dirty-set sizes) into the given registry.
+// rescores, touched-candidate counts) into the given registry.
 func WithMetrics(reg *Metrics) core.Option { return core.WithMetrics(reg) }
 
 // NewPureGreedy returns the classical adaptive greedy (w_D=1, w_I=0).

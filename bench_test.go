@@ -106,33 +106,21 @@ func benchInstance(b *testing.B, scale float64) (*accu.Instance, *accu.Realizati
 	return inst, inst.SampleRealization(accu.NewSeed(5, 6))
 }
 
-// BenchmarkABMLazyVsFull quantifies the lazy re-scoring ablation
-// (DESIGN.md): identical selections, different work per acceptance.
-func BenchmarkABMLazyVsFull(b *testing.B) {
-	for _, mode := range []string{"lazy", "full"} {
-		b.Run(mode, func(b *testing.B) {
-			inst, re := benchInstance(b, 0.05)
-			_ = inst
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var (
-					pol *accu.ABM
-					err error
-				)
-				if mode == "lazy" {
-					pol, err = accu.NewABM(accu.DefaultWeights())
-				} else {
-					pol, err = accu.NewABM(accu.DefaultWeights(), accu.WithFullRescan())
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := accu.Run(pol, re, 60); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// BenchmarkABM times one 60-request ABM attack, policy construction,
+// event-driven Init and every Observe included (DESIGN.md, "Event-driven
+// potential").
+func BenchmarkABM(b *testing.B) {
+	_, re := benchInstance(b, 0.05)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pol, err := accu.NewABM(accu.DefaultWeights())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := accu.Run(pol, re, 60); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -38,22 +38,22 @@ type shape struct {
 
 // result is the measurement of one (shape, workers) combination.
 type result struct {
-	Networks        int     `json:"networks"`
-	Runs            int     `json:"runs"`
-	Policies        int     `json:"policies"`
-	K               int     `json:"k"`
-	Workers         int     `json:"workers"`
-	ResolvedWorkers int     `json:"resolvedWorkers"`
+	Networks        int `json:"networks"`
+	Runs            int `json:"runs"`
+	Policies        int `json:"policies"`
+	K               int `json:"k"`
+	Workers         int `json:"workers"`
+	ResolvedWorkers int `json:"resolvedWorkers"`
 	// Oversubscribed flags a worker count above GOMAXPROCS: the workers
 	// time-slice one set of cores, so the row measures scheduling overhead,
 	// not parallel speedup. Such rows must not be read as scaling data.
-	Oversubscribed bool `json:"oversubscribed,omitempty"`
-	Cells           int     `json:"cells"`
-	FailedCells     int     `json:"failedCells,omitempty"`
-	Seconds         float64 `json:"seconds"`
-	CellsPerSec     float64 `json:"cellsPerSec"`
-	AllocsPerCell   float64 `json:"allocsPerCell"`
-	UtilizationPct  int64   `json:"utilizationPct"`
+	Oversubscribed bool    `json:"oversubscribed,omitempty"`
+	Cells          int     `json:"cells"`
+	FailedCells    int     `json:"failedCells,omitempty"`
+	Seconds        float64 `json:"seconds"`
+	CellsPerSec    float64 `json:"cellsPerSec"`
+	AllocsPerCell  float64 `json:"allocsPerCell"`
+	UtilizationPct int64   `json:"utilizationPct"`
 }
 
 // output is the full benchmark report.

@@ -11,44 +11,53 @@ import (
 // ABM is the Adaptive Benefit Maximization greedy of Algorithm 1: at each
 // step it requests the user with the highest potential P(u|ω).
 //
-// By default ABM re-scores lazily: a candidate's potential can only change
-// when an accepted request touches its two-hop neighborhood, so after each
-// acceptance only that dirty set is re-evaluated (stale heap entries are
-// version-checked on pop). WithFullRescan restores the naive
-// recompute-everything behaviour for ablation benchmarks; both variants
-// select identical sequences.
+// ABM keeps the potential event-driven. P_D and P_I are sums of
+// per-neighbour terms, and neighbour v's term changes only when v's
+// friend, FOF or cautious-deficit state does. ABM stores each
+// candidate's fixed-point sums and the state each node last applied to
+// its neighbours' sums; an acceptance re-derives that state for the new
+// friend and its realized neighbours, adds the exact term difference to
+// the sums of every neighbour of a node whose state changed, and
+// re-scores only those candidates, in O(1) each. Stale heap entries are
+// version-checked on pop. The stored scores always equal Potential.
 type ABM struct {
-	weights    Weights
-	fullRescan bool
+	weights Weights
 
 	scores  []float64
 	version []int32
 	pq      potentialHeap
 
-	// dirtyStamp/epoch dedupe the dirty set without allocating: a node
-	// is already queued this round iff its stamp equals the epoch.
-	dirtyStamp []int32
-	epoch      int32
+	// direct[c] and indirect[c] are candidate c's neighbour sums of P_D
+	// and P_I in fixed point (own benefit excluded); directOn[v] and
+	// deficit[v] are the neighbourState node v last added to its
+	// neighbours' sums (off/0 for friends).
+	terms    fixedTerms
+	direct   []int64
+	indirect []int64
+	directOn []bool
+	deficit  []int32
+
+	// touched lists the candidates to re-score after one acceptance;
+	// stamp/epoch dedupe it without allocating: a node is already listed
+	// this round iff its stamp equals the epoch.
+	touched []int32
+	stamp   []int32
+	epoch   int32
 
 	// Instruments resolved once by WithMetrics; nil (no-op) by default.
 	// See DESIGN.md "Reading a metrics dump" for what each one means.
 	mHeapPops    *obs.Counter   // heap entries popped in SelectNext
 	mStaleSkips  *obs.Counter   // popped entries discarded as stale/requested
-	mRescores    *obs.Counter   // potential re-evaluations
-	mDirtySize   *obs.Histogram // dirty-set size per acceptance
+	mRescores    *obs.Counter   // O(1) score recomputations
+	mDirtySize   *obs.Histogram // candidates touched per acceptance
 	mCompactions *obs.Counter   // stale-entry heap compactions
 }
 
 // Option configures an ABM policy.
 type Option func(*ABM)
 
-// WithFullRescan disables lazy re-scoring (ablation baseline).
-func WithFullRescan() Option {
-	return func(a *ABM) { a.fullRescan = true }
-}
-
 // WithMetrics records the policy's work counters — heap pops, stale-entry
-// skips, rescores and per-acceptance dirty-set sizes — into the given
+// skips, rescores and per-acceptance touched-candidate counts — into the given
 // registry. The instruments are shared and atomic, so many concurrent
 // attacks may report into one registry; a nil registry leaves the policy
 // uninstrumented (the counters stay no-ops).
@@ -98,42 +107,72 @@ func (a *ABM) Reseed(rng.Seed) {}
 // Weights returns the potential weights.
 func (a *ABM) Weights() Weights { return a.weights }
 
-// Init implements Policy: score every user and build the heap. A reused
-// instance (scheduler-level pooling via Reusable) re-slices its previous
-// buffers instead of reallocating.
+// Init implements Policy: build every candidate's neighbour sums, score
+// it and build the heap. A reused instance (scheduler-level pooling via
+// Reusable) re-slices its previous buffers instead of reallocating.
 func (a *ABM) Init(st *osn.State) error {
 	n := st.Instance().N()
-	if cap(a.scores) < n {
-		a.scores = make([]float64, n)
-	} else {
-		a.scores = a.scores[:n] // fully overwritten below
-	}
-	a.version = resetInt32s(a.version, n)
-	a.dirtyStamp = resetInt32s(a.dirtyStamp, n)
+	a.terms = newFixedTerms(st.Instance())
+	a.scores = resetSlice(a.scores, n)
+	a.direct = resetSlice(a.direct, n)
+	a.indirect = resetSlice(a.indirect, n)
+	a.directOn = resetSlice(a.directOn, n)
+	a.deficit = resetSlice(a.deficit, n)
+	a.version = resetSlice(a.version, n)
+	a.stamp = resetSlice(a.stamp, n)
 	a.epoch = 0
+	if cap(a.touched) < n {
+		a.touched = make([]int32, 0, n)
+	}
+	// Starting from all-zero sums and states, one update per node adds
+	// every term through the same path as Observe. Nothing is listed for
+	// re-scoring: at epoch 0 every stamp already equals the epoch.
+	for v := 0; v < n; v++ {
+		a.update(st, v)
+	}
 	a.pq = a.pq[:0]
 	if cap(a.pq) < n {
 		a.pq = make(potentialHeap, 0, n)
 	}
 	for u := 0; u < n; u++ {
-		a.scores[u] = Potential(st, u, a.weights)
+		a.scores[u] = a.score(st, u)
 		a.pq = append(a.pq, heapEntry{score: a.scores[u], user: int32(u)})
 	}
 	a.pq.init()
 	return nil
 }
 
-// resetInt32s returns a zeroed int32 slice of length n, reusing s's
-// backing array when it is large enough.
-func resetInt32s(s []int32, n int) []int32 {
+// resetSlice returns a zeroed slice of length n, reusing s's backing
+// array when it is large enough.
+func resetSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
+}
+
+// state is the neighbourState node v currently contributes to its
+// neighbours' sums; a friend contributes nothing.
+func (a *ABM) state(st *osn.State, v int) (direct bool, deficit int32) {
+	if st.IsFriend(v) {
+		return false, 0
+	}
+	return a.weights.neighbourState(st.Instance(), v, st.IsFOF(v), st.Mutual(v))
+}
+
+// score is candidate c's potential from its stored sums: exactly
+// Potential(st, c, a.weights).
+func (a *ABM) score(st *osn.State, c int) float64 {
+	if st.Requested(c) {
+		return 0
+	}
+	q := st.AcceptChance(c)
+	if q == 0 {
+		return 0
+	}
+	return a.terms.score(q, a.weights, a.terms.own(c, st.IsFOF(c))+a.direct[c], a.indirect[c])
 }
 
 // SelectNext implements Policy: pop the freshest highest-potential
@@ -152,56 +191,80 @@ func (a *ABM) SelectNext(st *osn.State) (int, bool) {
 	return 0, false
 }
 
-// Observe implements Policy: after an acceptance, re-score the candidates
-// whose potential may have changed.
+// Observe implements Policy: after an acceptance, bring the neighbour
+// sums up to date and re-score the candidates they touched.
+//
+// Only the new friend u and its realized neighbours (whose mutual count
+// grew) can change state. Under RunBatched the state already holds the
+// whole batch, so each node's state is diffed against the one it last
+// applied rather than assumed to have moved by one.
 func (a *ABM) Observe(st *osn.State, out osn.Outcome) {
 	if !out.Accepted {
 		return
 	}
-	if a.fullRescan {
-		n := 0
-		for u := range a.scores {
-			if !st.Requested(u) {
-				a.rescore(st, u)
-				n++
-			}
-		}
-		a.mDirtySize.Observe(int64(n))
-		a.maybeCompact(st)
-		return
-	}
-
-	// Dirty set: potential neighbors of the new friend (posterior edge
-	// beliefs and the friend-exclusion changed), plus every realized
-	// neighbor v (mutual count / FOF status changed) and v's potential
-	// neighbors (their P_D / P_I terms involving v changed). Deduped
-	// with an epoch stamp to avoid per-acceptance allocation.
+	a.epoch++
+	a.touched = a.touched[:0]
+	u := out.User
+	a.update(st, u)
 	g := st.Instance().Graph()
 	re := st.Realization()
-	a.epoch++
-	dirty := 0
-	touch := func(v int) {
-		if a.dirtyStamp[v] == a.epoch {
-			return
-		}
-		a.dirtyStamp[v] = a.epoch
-		dirty++
-		if !st.Requested(v) {
-			a.rescore(st, v)
-		}
-	}
-	base := g.AdjBase(out.User)
-	for i, v := range g.Neighbors(out.User) {
-		touch(int(v))
+	base := g.AdjBase(u)
+	for i, v := range g.Neighbors(u) {
 		if !re.EdgeExistsSlot(base + i) {
 			continue
 		}
-		for _, x := range g.Neighbors(int(v)) {
-			touch(int(x))
-		}
+		a.touch(st, int(v)) // its own FOF term and q̂ may have changed
+		a.update(st, int(v))
 	}
-	a.mDirtySize.Observe(int64(dirty))
+	for _, c := range a.touched {
+		a.rescore(st, int(c))
+	}
+	a.mDirtySize.Observe(int64(len(a.touched)))
 	a.maybeCompact(st)
+}
+
+// update re-derives node v's state and, if it changed, adds the exact
+// term difference to the sums of every unrequested neighbour. Edge
+// beliefs are the prior: an unrequested candidate and a non-friend
+// neighbour are both unobserved, and a friend contributes no term.
+func (a *ABM) update(st *osn.State, v int) {
+	on, def := a.state(st, v)
+	wasOn, wasDef := a.directOn[v], a.deficit[v]
+	if on == wasOn && def == wasDef {
+		return
+	}
+	a.directOn[v], a.deficit[v] = on, def
+	inst := st.Instance()
+	g := inst.Graph()
+	base := g.AdjBase(v)
+	for i, c32 := range g.Neighbors(v) {
+		c := int(c32)
+		if st.Requested(c) {
+			continue
+		}
+		p := inst.EdgeProb(base + i)
+		if on != wasOn {
+			if d := a.terms.direct(p, v); on {
+				a.direct[c] += d
+			} else {
+				a.direct[c] -= d
+			}
+		}
+		if def != wasDef {
+			a.indirect[c] += a.terms.indirect(p, v, def) - a.terms.indirect(p, v, wasDef)
+		}
+		a.touch(st, c)
+	}
+}
+
+// touch lists unrequested candidate c for re-scoring, once per
+// acceptance.
+func (a *ABM) touch(st *osn.State, c int) {
+	if a.stamp[c] == a.epoch || st.Requested(c) {
+		return
+	}
+	a.stamp[c] = a.epoch
+	a.touched = append(a.touched, int32(c))
 }
 
 // compactSlack keeps tiny instances from compacting on every acceptance.
@@ -232,14 +295,15 @@ func (a *ABM) maybeCompact(st *osn.State) {
 	a.mCompactions.Inc()
 }
 
-// rescore recomputes u's potential and pushes a fresh heap entry.
-func (a *ABM) rescore(st *osn.State, u int) {
+// rescore recomputes c's potential from its sums and pushes a fresh heap
+// entry if it changed.
+func (a *ABM) rescore(st *osn.State, c int) {
 	a.mRescores.Inc()
-	s := Potential(st, u, a.weights)
-	if s == a.scores[u] {
+	s := a.score(st, c)
+	if s == a.scores[c] {
 		return
 	}
-	a.scores[u] = s
-	a.version[u]++
-	a.pq.push(heapEntry{score: s, user: int32(u), version: a.version[u]})
+	a.scores[c] = s
+	a.version[c]++
+	a.pq.push(heapEntry{score: s, user: int32(c), version: a.version[c]})
 }

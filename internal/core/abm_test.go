@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/accu-sim/accu/internal/graph"
@@ -155,40 +156,104 @@ func TestABMBefriendsCautiousViaThreshold(t *testing.T) {
 	}
 }
 
-func TestABMLazyMatchesFullRescan(t *testing.T) {
-	for seed := uint64(0); seed < 4; seed++ {
-		inst := randomInstance(t, 100+seed*10)
-		re := inst.SampleRealization(rng.NewSeed(seed, 42))
+// oracleInstance is randomInstance with more cautious users, under the
+// deterministic or the soft (QLow/QHigh) cautious model.
+func oracleInstance(t *testing.T, seed uint64, soft bool) *osn.Instance {
+	t.Helper()
+	b := graph.NewBuilder(200)
+	r := rng.NewSeed(seed, seed+1).Rand()
+	for b.M() < 1500 {
+		if _, err := b.AddEdge(r.IntN(200), r.IntN(200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := osn.DefaultSetup()
+	s.NumCautious = 25
+	if soft {
+		s.QLowCautious, s.QHighCautious = 0.2, 0.9
+	}
+	inst, err := s.Build(b.Freeze(), rng.NewSeed(seed+2, seed+3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
 
-		lazy, err := NewABM(DefaultWeights())
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := NewABM(DefaultWeights(), WithFullRescan())
-		if err != nil {
-			t.Fatal(err)
-		}
-		const k = 60
-		resLazy, err := Run(lazy, re, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resFull, err := Run(full, re, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resLazy.Steps) != len(resFull.Steps) {
-			t.Fatalf("seed %d: step counts differ: %d vs %d", seed, len(resLazy.Steps), len(resFull.Steps))
-		}
-		for i := range resLazy.Steps {
-			if resLazy.Steps[i].User != resFull.Steps[i].User {
-				t.Fatalf("seed %d: step %d differs: lazy=%d full=%d",
-					seed, i, resLazy.Steps[i].User, resFull.Steps[i].User)
+// TestABMScoresMatchPotential is the oracle for the event-driven
+// potential: after every Observe (batch size 1) or every batch, ABM's
+// stored score for each unrequested user must equal a from-scratch
+// Potential exactly, and a sequential pick must be the exact greedy
+// maximizer (highest potential, lowest id on ties).
+func TestABMScoresMatchPotential(t *testing.T) {
+	weights := []Weights{DefaultWeights(), {WD: 1, WI: 0}, {WD: 0, WI: 1}, {WD: 0.3, WI: 0.9}}
+	for seed := uint64(0); seed < 6; seed++ {
+		for _, soft := range []bool{false, true} {
+			inst := oracleInstance(t, 700+seed, soft)
+			re := inst.SampleRealization(rng.NewSeed(seed, 43))
+			for _, w := range weights {
+				for _, batch := range []int{1, 3, 7} {
+					checkABMOracle(t, re, w, batch, fmt.Sprintf("seed %d soft %v w %+v batch %d", seed, soft, w, batch))
+				}
 			}
 		}
-		if resLazy.Benefit != resFull.Benefit {
-			t.Fatalf("seed %d: benefits differ: %v vs %v", seed, resLazy.Benefit, resFull.Benefit)
+	}
+}
+
+func checkABMOracle(t *testing.T, re *osn.Realization, w Weights, batch int, label string) {
+	t.Helper()
+	a, err := NewABM(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := osn.NewState(re)
+	if err := a.Init(st); err != nil {
+		t.Fatal(err)
+	}
+	n := st.Instance().N()
+	check := func(when string) {
+		t.Helper()
+		for u := 0; u < n; u++ {
+			if st.Requested(u) {
+				continue
+			}
+			if got, want := a.scores[u], Potential(st, u, w); got != want {
+				t.Fatalf("%s, %s: score(%d) = %v, Potential = %v", label, when, u, got, want)
+			}
 		}
+	}
+	check("after Init")
+	accepted := 0
+	for sent := 0; sent < 80; {
+		users := a.SelectBatch(st, batch)
+		if len(users) == 0 {
+			break
+		}
+		if batch == 1 {
+			best := -1
+			for u := 0; u < n; u++ {
+				if !st.Requested(u) && (best < 0 || Potential(st, u, w) > Potential(st, best, w)) {
+					best = u
+				}
+			}
+			if users[0] != best {
+				t.Fatalf("%s, request %d: picked %d, greedy maximizer is %d", label, sent, users[0], best)
+			}
+		}
+		outs, err := st.RequestBatch(users)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, out := range outs {
+			a.Observe(st, out)
+			if out.Accepted {
+				accepted++
+			}
+		}
+		sent += len(users)
+		check(fmt.Sprintf("after request %d", sent))
+	}
+	if accepted == 0 {
+		t.Fatalf("%s: no request accepted — the oracle saw no updates", label)
 	}
 }
 
@@ -239,16 +304,17 @@ func TestABMPolicyReusableAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestABMHeapCompactionBoundsGrowth pins the O(N) heap bound: a long,
-// high-churn attack (full rescan pushes a fresh entry for nearly every
-// candidate after every acceptance) must never grow the potential heap
-// past the compaction threshold, and compaction must actually fire.
+// TestABMHeapCompactionBoundsGrowth pins the O(N) heap bound: an attack
+// that requests every user (each acceptance pushes a fresh entry for
+// every touched candidate whose score changed) must never grow the
+// potential heap past the compaction threshold, and compaction must
+// actually fire.
 func TestABMHeapCompactionBoundsGrowth(t *testing.T) {
 	inst := randomInstance(t, 400)
 	n := inst.N()
 	re := inst.SampleRealization(rng.NewSeed(11, 12))
 	reg := obs.New()
-	a, err := NewABM(DefaultWeights(), WithFullRescan(), WithMetrics(reg))
+	a, err := NewABM(DefaultWeights(), WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

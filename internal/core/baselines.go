@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/osn"
 	"github.com/accu-sim/accu/internal/pagerank"
 	"github.com/accu-sim/accu/internal/rng"
@@ -12,10 +13,16 @@ import (
 // StaticRank is a non-adaptive baseline that requests users in a fixed
 // order computed once from the potential graph (ignoring observations),
 // as the MaxDegree and PageRank baselines of §IV-A do.
+//
+// The order depends on the graph alone, so a reused instance keeps it
+// for as long as successive attacks run on the same graph (every run of
+// one network). Holding the graph pointer keeps that graph alive, so a
+// later graph can never reuse its address and alias the cached order.
 type StaticRank struct {
 	name string
-	rank func(st *osn.State) ([]int, error)
+	rank func(g *graph.Graph) ([]int, error)
 
+	graph *graph.Graph // the graph order was ranked on
 	order []int
 	next  int
 }
@@ -27,8 +34,7 @@ var _ Policy = (*StaticRank)(nil)
 func NewMaxDegree() *StaticRank {
 	return &StaticRank{
 		name: "maxdegree",
-		rank: func(st *osn.State) ([]int, error) {
-			g := st.Instance().Graph()
+		rank: func(g *graph.Graph) ([]int, error) {
 			order := identity(g.N())
 			sort.SliceStable(order, func(i, j int) bool {
 				return g.Degree(order[i]) > g.Degree(order[j])
@@ -43,8 +49,8 @@ func NewMaxDegree() *StaticRank {
 func NewPageRank() *StaticRank {
 	return &StaticRank{
 		name: "pagerank",
-		rank: func(st *osn.State) ([]int, error) {
-			scores, err := pagerank.Scores(st.Instance().Graph(), pagerank.DefaultOptions())
+		rank: func(g *graph.Graph) ([]int, error) {
+			scores, err := pagerank.Scores(g, pagerank.DefaultOptions())
 			if err != nil {
 				return nil, fmt.Errorf("core: pagerank baseline: %w", err)
 			}
@@ -60,14 +66,20 @@ func NewPageRank() *StaticRank {
 // Name implements Policy.
 func (s *StaticRank) Name() string { return s.name }
 
-// Init implements Policy.
+// Init implements Policy: rank the attack's graph unless the order
+// already belongs to it.
 func (s *StaticRank) Init(st *osn.State) error {
-	order, err := s.rank(st)
+	s.next = 0
+	g := st.Instance().Graph()
+	if g == s.graph {
+		return nil
+	}
+	order, err := s.rank(g)
 	if err != nil {
+		s.graph, s.order = nil, nil
 		return err
 	}
-	s.order = order
-	s.next = 0
+	s.graph, s.order = g, order
 	return nil
 }
 
@@ -86,8 +98,8 @@ func (s *StaticRank) SelectNext(st *osn.State) (int, bool) {
 // Observe implements Policy.
 func (s *StaticRank) Observe(*osn.State, osn.Outcome) {}
 
-// Reseed implements Reusable: the static order is recomputed by Init and
-// never depends on a seed.
+// Reseed implements Reusable: the static order never depends on a seed;
+// Init recomputes it when the graph changes.
 func (s *StaticRank) Reseed(rng.Seed) {}
 
 // Random is the uniform-random baseline.

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/osn"
 	"github.com/accu-sim/accu/internal/rng"
 )
@@ -147,5 +148,47 @@ func TestABMDominatesBaselinesOnAverage(t *testing.T) {
 	}
 	if abmAvg < randAvg {
 		t.Errorf("ABM %.1f below Random %.1f", abmAvg, randAvg)
+	}
+}
+
+// TestStaticRankReusesOrderPerGraph pins the per-network order cache:
+// Init on the graph the order came from must not rank again, Init on a
+// new graph must, and every attack selects exactly what a freshly built
+// policy selects.
+func TestStaticRankReusesOrderPerGraph(t *testing.T) {
+	instA, instB := randomInstance(t, 800), randomInstance(t, 810)
+	for _, mk := range []func() *StaticRank{NewMaxDegree, NewPageRank} {
+		s := mk()
+		ranks := 0
+		rank := s.rank
+		s.rank = func(g *graph.Graph) ([]int, error) {
+			ranks++
+			return rank(g)
+		}
+		for i, tc := range []struct {
+			inst      *osn.Instance
+			wantRanks int
+		}{{instA, 1}, {instA, 1}, {instB, 2}, {instB, 2}, {instA, 3}} {
+			re := tc.inst.SampleRealization(rng.NewSeed(uint64(i), 9))
+			got, err := Run(s, re, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ranks != tc.wantRanks {
+				t.Fatalf("%s attack %d: rank ran %d times, want %d", s.Name(), i, ranks, tc.wantRanks)
+			}
+			want, err := Run(mk(), re, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Steps) != len(want.Steps) {
+				t.Fatalf("%s attack %d: %d steps reused vs %d fresh", s.Name(), i, len(got.Steps), len(want.Steps))
+			}
+			for j := range want.Steps {
+				if got.Steps[j] != want.Steps[j] {
+					t.Fatalf("%s attack %d step %d: reused %+v vs fresh %+v", s.Name(), i, j, got.Steps[j], want.Steps[j])
+				}
+			}
+		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"github.com/accu-sim/accu/internal/rng"
 )
 
-func TestRunMultiSingleBotMatchesFullRescanABM(t *testing.T) {
+func TestRunMultiSingleBotMatchesABM(t *testing.T) {
 	// One bot with the O(N)-scan runner must reproduce the sequential
 	// ABM (both are exact greedy maximizers of the same potential).
 	inst := randomInstance(t, 1100)

@@ -58,13 +58,13 @@ func percentileSorted(sorted []int, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(pos)
 	if lo >= len(sorted)-1 {
 		return float64(sorted[len(sorted)-1])
 	}
 	frac := pos - float64(lo)
-	return float64(sorted[lo])*(1-frac) + float64(sorted[lo+1])*frac
+	return float64(float64(sorted[lo])*(1-frac)) + float64(float64(sorted[lo+1])*frac)
 }
 
 // LocalClustering returns the local clustering coefficient of u: the
@@ -147,16 +147,16 @@ func (g *Graph) DegreeAssortativity() float64 {
 			dv := float64(g.Degree(int(v)))
 			sx += du
 			sy += dv
-			sxy += du * dv
-			sxx += du * du
-			syy += dv * dv
+			sxy += float64(du * dv)
+			sxx += float64(du * du)
+			syy += float64(dv * dv)
 			n++
 		}
 	}
 	fn := float64(n)
-	num := sxy/fn - (sx/fn)*(sy/fn)
-	denX := sxx/fn - (sx/fn)*(sx/fn)
-	denY := syy/fn - (sy/fn)*(sy/fn)
+	num := sxy/fn - float64((sx/fn)*(sy/fn))
+	denX := sxx/fn - float64((sx/fn)*(sx/fn))
+	denY := syy/fn - float64((sy/fn)*(sy/fn))
 	if denX <= 0 || denY <= 0 {
 		return 0
 	}

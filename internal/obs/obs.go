@@ -1,7 +1,7 @@
 // Package obs is a lightweight, allocation-conscious metrics layer for
 // the simulator's hot paths: counters, gauges and histograms with atomic
 // updates, plus a Span phase timer. It exists so the Monte-Carlo engine
-// can report what the dirty-set optimisation and the worker fan-out are
+// can report what the event-driven ABM greedy and the worker fan-out are
 // actually doing at scale.
 //
 // Every instrument is nil-safe: methods on a nil *Registry, *Counter,

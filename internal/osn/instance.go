@@ -42,7 +42,7 @@ var (
 	ErrShapeMismatch  = errors.New("osn: attribute length does not match graph")
 	ErrBadProbability = errors.New("osn: probability out of [0, 1]")
 	ErrBadThreshold   = errors.New("osn: cautious threshold must be positive")
-	ErrBadBenefit     = errors.New("osn: benefit must be non-negative")
+	ErrBadBenefit     = errors.New("osn: benefit must be finite and non-negative")
 )
 
 // Instance is a fully specified ACCU problem instance: the potential
@@ -66,6 +66,8 @@ type Instance struct {
 	bFof       []float64 // B_fof(u)
 
 	cautious []int // sorted list of cautious users
+
+	fixedScale float64 // 2^S for fixed-point benefit sums; see FixedScale
 
 	// Instruments resolved by Instrument; nil (no-op) by default. They
 	// are atomic and shared by every State and Realization of this
@@ -178,8 +180,7 @@ func NewInstance(g *graph.Graph, p Params) (*Instance, error) {
 		default:
 			return nil, fmt.Errorf("osn: node %d has invalid kind %d", u, inst.kind[u])
 		}
-		if inst.bFriend[u] < 0 || inst.bFof[u] < 0 ||
-			math.IsNaN(inst.bFriend[u]) || math.IsNaN(inst.bFof[u]) {
+		if badBenefit(inst.bFriend[u]) || badBenefit(inst.bFof[u]) {
 			return nil, fmt.Errorf("%w: node %d B_f=%v B_fof=%v", ErrBadBenefit, u, inst.bFriend[u], inst.bFof[u])
 		}
 		if inst.bFriend[u] < inst.bFof[u] {
@@ -206,10 +207,34 @@ func NewInstance(g *graph.Graph, p Params) (*Instance, error) {
 	if symErr != nil {
 		return nil, symErr
 	}
+	inst.fixedScale = fixedScale(g, inst.bFriend)
 	return inst, nil
 }
 
 func bad(p float64) bool { return p < 0 || p > 1 || math.IsNaN(p) }
+
+// badBenefit rejects negative, NaN and infinite benefits: an infinite
+// B_f makes the ABM potential infinite or NaN and has no fixed-point form.
+func badBenefit(b float64) bool { return b < 0 || math.IsNaN(b) || math.IsInf(b, 0) }
+
+// fixedScale returns 2^S with S the largest exponent for which
+// 2^eD · 2^eB · 2^S = 2^62, where (maxdeg+1) < 2^eD and max B_f < 2^eB.
+// Then (maxdeg+1)·max B_f·2^S < 2^62, so a candidate's own benefit plus
+// one truncated term per neighbour, each at most max B_f (B_fof <= B_f),
+// fits an int64. S is capped at 1022 so that 2^S and 2^-S both stay
+// normal float64s when every benefit is tiny or zero.
+func fixedScale(g *graph.Graph, bFriend []float64) float64 {
+	maxDeg, maxB := 0, 0.0
+	for u := 0; u < g.N(); u++ {
+		maxDeg = max(maxDeg, g.Degree(u))
+	}
+	for _, b := range bFriend {
+		maxB = max(maxB, b)
+	}
+	_, eD := math.Frexp(float64(maxDeg + 1))
+	_, eB := math.Frexp(maxB)
+	return math.Ldexp(1, min(62-eD-eB, 1022))
+}
 
 // Params returns a deep copy of the instance's parameters, suitable for
 // modification and rebuilding via NewInstance (used by defense analyses
@@ -260,6 +285,12 @@ func (in *Instance) Deterministic() bool {
 	}
 	return true
 }
+
+// FixedScale returns the power-of-two scale 2^S at which the ABM
+// potential rounds each benefit term to an int64, so that its sums do
+// not depend on summation order. S is a function of the graph and the
+// benefits alone; see fixedScale for the rule.
+func (in *Instance) FixedScale() float64 { return in.fixedScale }
 
 // BFriend returns B_f(u).
 func (in *Instance) BFriend(u int) float64 { return in.bFriend[u] }

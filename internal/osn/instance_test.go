@@ -2,6 +2,7 @@ package osn
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/accu-sim/accu/internal/graph"
@@ -102,6 +103,21 @@ func TestNewInstanceValueErrors(t *testing.T) {
 	p.BFriend[0] = -1
 	if _, err := NewInstance(g, p); !errors.Is(err, ErrBadBenefit) {
 		t.Errorf("negative benefit: %v", err)
+	}
+
+	// An infinite benefit would make the ABM potential infinite or NaN
+	// and has no fixed-point form.
+	for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+		p = uniformParams(2)
+		p.BFriend[0] = inf
+		if _, err := NewInstance(g, p); !errors.Is(err, ErrBadBenefit) {
+			t.Errorf("B_f = %v: %v", inf, err)
+		}
+		p = uniformParams(2)
+		p.BFof[1] = inf
+		if _, err := NewInstance(g, p); !errors.Is(err, ErrBadBenefit) {
+			t.Errorf("B_fof = %v: %v", inf, err)
+		}
 	}
 
 	p = uniformParams(2)
@@ -300,6 +316,37 @@ func TestThetaFor(t *testing.T) {
 	for _, tc := range cases {
 		if got := thetaFor(tc.deg, tc.fraction); got != tc.want {
 			t.Errorf("thetaFor(%d, %v) = %d, want %d", tc.deg, tc.fraction, got, tc.want)
+		}
+	}
+}
+
+// TestFixedScale pins the fixed-point scale rule: a power of two with
+// (maxdeg+1)·max B_f·2^S < 2^62, at most one power of two short of the
+// largest such S, and capped so 2^±S stay normal floats.
+func TestFixedScale(t *testing.T) {
+	// Star on 5 nodes: maxdeg 4, so maxdeg+1 = 5.
+	g := buildGraph(t, 5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
+	for _, maxB := range []float64{0, 1e-300, 1e-3, 1, 2, 50, 1e6, 1e300} {
+		p := uniformParams(5)
+		for u := range p.BFriend {
+			p.BFriend[u], p.BFof[u] = maxB/2, 0
+		}
+		p.BFriend[3] = maxB
+		inst, err := NewInstance(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scale := inst.FixedScale()
+		frac, exp := math.Frexp(scale)
+		if frac != 0.5 || exp-1 > 1022 || exp-1 < -1022 {
+			t.Fatalf("max B_f %v: scale %v is not a normal power of two", maxB, scale)
+		}
+		bound := math.Ldexp(1, 62)
+		if got := 5 * maxB * scale; got >= bound {
+			t.Errorf("max B_f %v: (maxdeg+1)·max B_f·scale = %v, want < 2^62", maxB, got)
+		}
+		if maxB > 0 && exp-1 < 1022 && 5*maxB*scale*4 < bound {
+			t.Errorf("max B_f %v: scale %v wastes more than one bit", maxB, scale)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func Scores(g *graph.Graph, opts Options) ([]float64, error) {
 			}
 			next[u] = 0
 		}
-		base := (1-opts.Damping)*inv + opts.Damping*dangling*inv
+		base := float64((1-opts.Damping)*inv) + float64(opts.Damping*dangling*inv)
 		for u := 0; u < n; u++ {
 			next[u] += base
 			d := g.Degree(u)

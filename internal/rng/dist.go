@@ -111,7 +111,7 @@ func PowerLawDegrees(r *rand.Rand, n, minDeg, maxDeg int, gamma float64) ([]int,
 	sum := 0
 	for i := range degs {
 		u := r.Float64()
-		x := math.Pow(lo+u*(hi-lo), 1/(1-gamma))
+		x := math.Pow(lo+float64(u*(hi-lo)), 1/(1-gamma))
 		d := int(x)
 		if d < minDeg {
 			d = minDeg

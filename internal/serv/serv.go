@@ -234,7 +234,7 @@ type SubmitRequest struct {
 	Priority int `json:"priority,omitempty"`
 	// MaxAttempts bounds automatic retries of failed executions; 0 uses
 	// the server default.
-	MaxAttempts int `json:"maxAttempts,omitempty"`
+	MaxAttempts int  `json:"maxAttempts,omitempty"`
 	Spec        Spec `json:"spec"`
 }
 
@@ -401,7 +401,7 @@ func (s *Server) Resume(id string) (Job, error) {
 	e.job.Attempt = 0
 	e.job.Error = ""
 	e.job.FinishedAt = nil
-	e.hub = newHub() // the old hub closed at the terminal transition
+	e.hub = newHub()                                // the old hub closed at the terminal transition
 	if err := s.store.saveJob(&e.job); err != nil { //accu:allow lockedio -- durability-before-signal: the requeued attempt persists before the queue signals
 		s.mu.Unlock()
 		return Job{}, err

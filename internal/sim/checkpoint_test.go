@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/accu-sim/accu/internal/core"
@@ -215,8 +216,8 @@ func TestCellJournalCountsDroppedCells(t *testing.T) {
 	content = append(content, []byte("{corrupt}\n")...)
 	content = append(content, line(0, 2)...)
 	content = append(content, line(0, 3)...)
-	content = append(content, line(0, 1)...)  // duplicate of a kept cell: not lost work
-	content = append(content, line(0, 3)...)  // duplicate of a dropped cell: counted once
+	content = append(content, line(0, 1)...)                          // duplicate of a kept cell: not lost work
+	content = append(content, line(0, 3)...)                          // duplicate of a dropped cell: counted once
 	content = append(content, []byte(`{"network":0,"run":4,"rec`)...) // torn tail: not counted
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
@@ -402,8 +403,11 @@ func TestRunCheckpointFullyResumedGrid(t *testing.T) {
 	}
 }
 
-// failingCheckpointer commits successfully n times, then fails.
+// failingCheckpointer commits successfully n times, then fails. Like
+// every Checkpointer it serializes Commit, which workers call
+// concurrently.
 type failingCheckpointer struct {
+	mu  sync.Mutex
 	n   int
 	err error
 }
@@ -411,6 +415,8 @@ type failingCheckpointer struct {
 func (c *failingCheckpointer) Done(CellKey) bool { return false }
 
 func (c *failingCheckpointer) Commit(CellKey, []Record) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.n == 0 {
 		return c.err
 	}

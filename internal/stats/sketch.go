@@ -270,8 +270,8 @@ func (s *Sketch) Quantile(q float64) float64 {
 // (gamma^(k·2^L − 1), gamma^((k+1)·2^L − 1)].
 func (s *Sketch) representative(k int32) float64 {
 	p := float64(int64(1) << s.level)
-	lo := float64(int64(k))*p - 1
-	return math.Exp(s.lnGamma * (lo + p/2))
+	lo := float64(float64(int64(k))*p) - 1
+	return math.Exp(s.lnGamma * (lo + float64(p/2)))
 }
 
 // clamp bounds an estimate by the exact observed extrema.

@@ -147,7 +147,7 @@ func candidateValue(inst *osn.Instance, node beliefNode, u, budget int, optimal 
 		if err != nil {
 			return 0, err
 		}
-		value += (g.weight / node.weight) * (after - before + future)
+		value += float64((g.weight / node.weight) * (after - before + future))
 	}
 	return value, nil
 }
@@ -165,7 +165,7 @@ func nodeDelta(inst *osn.Instance, node beliefNode, u int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		num += wr.P * (after - before)
+		num += float64(wr.P * (after - before))
 	}
 	return num / node.weight, nil
 }

@@ -249,7 +249,7 @@ func Delta(inst *osn.Instance, all []WeightedRealization, ref *osn.Realization, 
 		if err != nil {
 			return 0, err
 		}
-		num += wr.P * (after - before)
+		num += float64(wr.P * (after - before))
 		den += wr.P
 	}
 	if den == 0 {
