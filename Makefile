@@ -53,10 +53,12 @@ fix:
 
 # fuzz-smoke runs each native fuzz target briefly against its committed
 # corpus plus fresh mutations — the decoder surfaces (store block
-# decoder, cell-journal resume) the analyzers cannot reach.
+# decoder, cell-journal resume) the analyzers cannot reach, and the
+# graph builder against a map-based reference.
 fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellJournalReplay -fuzztime 10s
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzBuilder -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...

@@ -250,6 +250,73 @@ func BenchmarkRealizationSample(b *testing.B) {
 	}
 }
 
+// BenchmarkNetworkBuild times the three per-network stages of the §IV-A
+// protocol separately on each preset at scale 0.02: generating the graph,
+// dressing it into an instance (Setup.Build) and sampling one
+// realization. facebook's 80-node stand-in has room for one cautious user
+// only; the others use ten.
+func BenchmarkNetworkBuild(b *testing.B) {
+	for _, name := range accu.PresetNames() {
+		preset, err := accu.PresetByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		generator, err := preset.Generator(0.02)
+		if err != nil {
+			b.Fatal(err)
+		}
+		setup := accu.DefaultSetup()
+		setup.NumCautious = 10
+		if name == "facebook" {
+			setup.NumCautious = 1
+		}
+		g, err := generator.Generate(accu.NewSeed(1, 2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		inst, err := setup.Build(g, accu.NewSeed(3, 4))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name+"/generate", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := generator.Generate(accu.NewSeed(uint64(i), 2)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/setup", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := setup.Build(g, accu.NewSeed(uint64(i), 4)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/sample", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				inst.SampleRealization(accu.NewSeed(uint64(i), 6))
+			}
+		})
+	}
+}
+
+// BenchmarkMaxDegreeInit times the MaxDegree baseline's per-network rank
+// (a fresh policy each iteration, so the order is never reused).
+func BenchmarkMaxDegreeInit(b *testing.B) {
+	_, re := benchInstance(b, 0.05)
+	st := accu.NewAttack(re)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := accu.NewMaxDegree().Init(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPageRank measures the baseline ranking computation.
 func BenchmarkPageRank(b *testing.B) {
 	inst, _ := benchInstance(b, 0.05)

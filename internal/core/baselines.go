@@ -34,14 +34,34 @@ var _ Policy = (*StaticRank)(nil)
 func NewMaxDegree() *StaticRank {
 	return &StaticRank{
 		name: "maxdegree",
-		rank: func(g *graph.Graph) ([]int, error) {
-			order := identity(g.N())
-			sort.SliceStable(order, func(i, j int) bool {
-				return g.Degree(order[i]) > g.Degree(order[j])
-			})
-			return order, nil
-		},
+		rank: func(g *graph.Graph) ([]int, error) { return degreeOrder(g), nil },
 	}
+}
+
+// degreeOrder lists g's nodes by descending degree, ties by ascending id,
+// with one counting sort over the degrees: O(n + maxdeg).
+func degreeOrder(g *graph.Graph) []int {
+	maxDeg := 0
+	for u := 0; u < g.N(); u++ {
+		maxDeg = max(maxDeg, g.Degree(u))
+	}
+	// next[maxDeg-d] is where the next node of degree d goes.
+	next := make([]int, maxDeg+1)
+	for u := 0; u < g.N(); u++ {
+		next[maxDeg-g.Degree(u)]++
+	}
+	pos := 0
+	for i, c := range next {
+		next[i] = pos
+		pos += c
+	}
+	order := make([]int, g.N())
+	for u := 0; u < g.N(); u++ {
+		i := maxDeg - g.Degree(u)
+		order[next[i]] = u
+		next[i]++
+	}
+	return order
 }
 
 // NewPageRank returns the PageRank baseline: pick users by descending

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/accu-sim/accu/internal/graph"
@@ -29,6 +33,25 @@ func TestMaxDegreeOrder(t *testing.T) {
 	// Tie between 2 and 3 breaks toward lower id.
 	if res.Steps[2].User != 2 || res.Steps[3].User != 3 {
 		t.Errorf("tie order = %d,%d, want 2,3", res.Steps[2].User, res.Steps[3].User)
+	}
+}
+
+func TestDegreeOrderMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 6))
+	for _, c := range []struct{ n, tries int }{{0, 0}, {1, 0}, {5, 0}, {30, 40}, {200, 2000}, {500, 400}} {
+		b := graph.NewBuilder(c.n)
+		for i := 0; i < c.tries; i++ {
+			// Squaring skews the endpoints toward low ids: a few hubs,
+			// many ties, some isolated nodes.
+			u := int(float64(c.n) * math.Pow(r.Float64(), 2))
+			_, _ = b.AddEdge(u, r.IntN(c.n))
+		}
+		g := b.Freeze()
+		want := identity(g.N())
+		sort.SliceStable(want, func(i, j int) bool { return g.Degree(want[i]) > g.Degree(want[j]) })
+		if got := degreeOrder(g); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: degreeOrder = %v, want %v", c.n, got, want)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ErrNodeRange is returned when a node id is outside [0, N).
@@ -18,9 +18,14 @@ var ErrNodeRange = errors.New("graph: node id out of range")
 
 // Builder accumulates edges for an undirected simple graph. The zero value
 // is not usable; construct with NewBuilder.
+//
+// Each node keeps its neighbours as one sorted row, so duplicate checks
+// are binary searches, insertions shift only the row's tail (generators
+// that add neighbours in ascending order just append) and Freeze copies
+// rows without sorting.
 type Builder struct {
 	n   int
-	adj []map[int32]struct{}
+	adj [][]int32 // adj[u] is u's sorted neighbour row
 	m   int
 }
 
@@ -29,8 +34,18 @@ func NewBuilder(n int) *Builder {
 	if n < 0 {
 		n = 0
 	}
-	return &Builder{n: n, adj: make([]map[int32]struct{}, n)}
+	// Every row starts in one shared slab, so low-degree nodes never
+	// allocate; a row that outgrows its share moves to its own array.
+	adj := make([][]int32, n)
+	slab := make([]int32, n*rowStart)
+	for u := range adj {
+		adj[u] = slab[u*rowStart : u*rowStart : (u+1)*rowStart]
+	}
+	return &Builder{n: n, adj: adj}
 }
+
+// rowStart is the capacity each row gets in NewBuilder's slab.
+const rowStart = 8
 
 // N reports the number of nodes.
 func (b *Builder) N() int { return b.n }
@@ -48,17 +63,12 @@ func (b *Builder) AddEdge(u, v int) (ok bool, err error) {
 	if u == v {
 		return false, nil
 	}
-	if b.adj[u] == nil {
-		b.adj[u] = make(map[int32]struct{})
-	}
-	if _, dup := b.adj[u][int32(v)]; dup {
+	i := searchRow(b.adj[u], int32(v))
+	if i < len(b.adj[u]) && b.adj[u][i] == int32(v) {
 		return false, nil
 	}
-	if b.adj[v] == nil {
-		b.adj[v] = make(map[int32]struct{})
-	}
-	b.adj[u][int32(v)] = struct{}{}
-	b.adj[v][int32(u)] = struct{}{}
+	b.adj[u] = slices.Insert(b.adj[u], i, int32(v))
+	b.adj[v] = slices.Insert(b.adj[v], searchRow(b.adj[v], int32(u)), int32(u))
 	b.m++
 	return true, nil
 }
@@ -66,11 +76,12 @@ func (b *Builder) AddEdge(u, v int) (ok bool, err error) {
 // HasEdge reports whether the edge (u, v) exists. Out-of-range endpoints
 // report false.
 func (b *Builder) HasEdge(u, v int) bool {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n || b.adj[u] == nil {
+	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		return false
 	}
-	_, ok := b.adj[u][int32(v)]
-	return ok
+	row := b.adj[u]
+	i := searchRow(row, int32(v))
+	return i < len(row) && row[i] == int32(v)
 }
 
 // Degree reports the degree of u, or 0 if out of range.
@@ -90,15 +101,28 @@ func (b *Builder) Freeze() *Graph {
 	}
 	neighbors := make([]int32, offsets[b.n])
 	for u := 0; u < b.n; u++ {
-		row := neighbors[offsets[u]:offsets[u+1]]
-		i := 0
-		for v := range b.adj[u] {
-			row[i] = v
-			i++
-		}
-		sort.Slice(row, func(a, c int) bool { return row[a] < row[c] })
+		copy(neighbors[offsets[u]:], b.adj[u])
 	}
 	return &Graph{n: b.n, m: b.m, offsets: offsets, neighbors: neighbors}
+}
+
+// searchRow returns the index of the first entry of the ascending row
+// that is >= x (len(row) if none). The common append case, x above the
+// whole row, costs one comparison.
+func searchRow(row []int32, x int32) int {
+	lo, hi := 0, len(row)
+	if hi == 0 || row[hi-1] < x {
+		return hi
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if row[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Graph is an immutable undirected simple graph in CSR form. Adjacency
@@ -145,7 +169,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 		u, v = v, u
 	}
 	row := g.Neighbors(u)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= int32(v) })
+	i := searchRow(row, int32(v))
 	return i < len(row) && row[i] == int32(v)
 }
 
@@ -190,8 +214,7 @@ func (g *Graph) IndexOf(u, v int) int {
 		return -1
 	}
 	row := g.Neighbors(u)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= int32(v) })
-	if i < len(row) && row[i] == int32(v) {
+	if i := searchRow(row, int32(v)); i < len(row) && row[i] == int32(v) {
 		return int(g.offsets[u]) + i
 	}
 	return -1
@@ -206,6 +229,26 @@ func (g *Graph) EachEdge(fn func(u, v int) bool) {
 				if !fn(u, int(v)) {
 					return
 				}
+			}
+		}
+	}
+}
+
+// EachEdgeSlot is EachEdge with CSR slots: fn(u, v, uv, vu) receives
+// uv = IndexOf(u, v) and vu = IndexOf(v, u), so callers can fill
+// per-slot arrays symmetrically without searching rows. It relies on the
+// walk visiting v's lower neighbours u in ascending order, which is the
+// order they occupy at the front of v's sorted row.
+func (g *Graph) EachEdgeSlot(fn func(u, v, uv, vu int) bool) {
+	lower := make([]int32, g.n) // lower[v]: v's lower neighbours seen so far
+	for u := 0; u < g.n; u++ {
+		start, end := int(g.offsets[u]), int(g.offsets[u+1])
+		for uv := start + int(lower[u]); uv < end; uv++ {
+			v := int(g.neighbors[uv])
+			vu := int(g.offsets[v]) + int(lower[v])
+			lower[v]++
+			if !fn(u, v, uv, vu) {
+				return
 			}
 		}
 	}

@@ -203,6 +203,45 @@ func TestEachEdgeAndEdges(t *testing.T) {
 	}
 }
 
+func TestEachEdgeSlotMatchesIndexOf(t *testing.T) {
+	r := rand.New(rand.NewPCG(13, 14))
+	for _, c := range []struct{ n, tries int }{{1, 0}, {2, 1}, {40, 60}, {60, 900}, {200, 3000}} {
+		b := NewBuilder(c.n)
+		for i := 0; i < c.tries; i++ {
+			_, _ = b.AddEdge(r.IntN(c.n), r.IntN(c.n))
+		}
+		g := b.Freeze()
+		var want []Edge
+		g.EachEdge(func(u, v int) bool {
+			want = append(want, Edge{U: u, V: v})
+			return true
+		})
+		i := 0
+		g.EachEdgeSlot(func(u, v, uv, vu int) bool {
+			if i >= len(want) || want[i] != (Edge{U: u, V: v}) {
+				t.Fatalf("n=%d: visit %d is (%d,%d), EachEdge order differs", c.n, i, u, v)
+			}
+			if uv != g.IndexOf(u, v) || vu != g.IndexOf(v, u) {
+				t.Fatalf("n=%d: edge (%d,%d) slots (%d,%d), IndexOf gives (%d,%d)",
+					c.n, u, v, uv, vu, g.IndexOf(u, v), g.IndexOf(v, u))
+			}
+			i++
+			return true
+		})
+		if i != len(want) || i != g.M() {
+			t.Fatalf("n=%d: EachEdgeSlot visited %d edges, want %d", c.n, i, g.M())
+		}
+	}
+	calls := 0
+	path(t, 4).EachEdgeSlot(func(int, int, int, int) bool {
+		calls++
+		return false
+	})
+	if calls != 1 {
+		t.Errorf("EachEdgeSlot early stop: %d calls", calls)
+	}
+}
+
 func TestEdgeCanonical(t *testing.T) {
 	if (Edge{U: 3, V: 1}).Canonical() != (Edge{U: 1, V: 3}) {
 		t.Error("Canonical failed to order")

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/obs"
@@ -118,6 +119,26 @@ type Params struct {
 // NewInstance validates the parameters and builds an immutable instance.
 // All slices are copied at the boundary.
 func NewInstance(g *graph.Graph, p Params) (*Instance, error) {
+	return newInstance(g, p.clone())
+}
+
+// clone deep-copies the parameter slices; nil slices stay nil.
+func (p Params) clone() Params {
+	return Params{
+		Kind:       slices.Clone(p.Kind),
+		AcceptProb: slices.Clone(p.AcceptProb),
+		Theta:      slices.Clone(p.Theta),
+		BFriend:    slices.Clone(p.BFriend),
+		BFof:       slices.Clone(p.BFof),
+		EdgeProb:   slices.Clone(p.EdgeProb),
+		QLow:       slices.Clone(p.QLow),
+		QHigh:      slices.Clone(p.QHigh),
+	}
+}
+
+// newInstance is NewInstance for parameters the instance may keep: the
+// caller hands over p's slices and must not touch them afterwards.
+func newInstance(g *graph.Graph, p Params) (*Instance, error) {
 	n := g.N()
 	if len(p.Kind) != n || len(p.AcceptProb) != n || len(p.Theta) != n ||
 		len(p.BFriend) != n || len(p.BFof) != n {
@@ -136,19 +157,20 @@ func NewInstance(g *graph.Graph, p Params) (*Instance, error) {
 
 	inst := &Instance{
 		g:          g,
-		kind:       append([]Kind(nil), p.Kind...),
-		acceptProb: append([]float64(nil), p.AcceptProb...),
-		theta:      append([]int(nil), p.Theta...),
-		bFriend:    append([]float64(nil), p.BFriend...),
-		bFof:       append([]float64(nil), p.BFof...),
+		kind:       p.Kind,
+		acceptProb: p.AcceptProb,
+		theta:      p.Theta,
+		bFriend:    p.BFriend,
+		bFof:       p.BFof,
+		edgeProb:   p.EdgeProb,
+		qLow:       p.QLow,
+		qHigh:      p.QHigh,
 	}
 	if p.EdgeProb == nil {
 		inst.edgeProb = make([]float64, g.AdjSize())
 		for i := range inst.edgeProb {
 			inst.edgeProb[i] = 1
 		}
-	} else {
-		inst.edgeProb = append([]float64(nil), p.EdgeProb...)
 	}
 	if p.QLow == nil {
 		// The paper's deterministic linear-threshold model.
@@ -157,9 +179,6 @@ func NewInstance(g *graph.Graph, p Params) (*Instance, error) {
 		for i := range inst.qHigh {
 			inst.qHigh[i] = 1
 		}
-	} else {
-		inst.qLow = append([]float64(nil), p.QLow...)
-		inst.qHigh = append([]float64(nil), p.QHigh...)
 	}
 
 	for u := 0; u < n; u++ {
@@ -195,11 +214,10 @@ func NewInstance(g *graph.Graph, p Params) (*Instance, error) {
 	}
 	// Symmetry check: p(u,v) == p(v,u).
 	var symErr error
-	g.EachEdge(func(u, v int) bool {
-		iu, iv := g.IndexOf(u, v), g.IndexOf(v, u)
-		if inst.edgeProb[iu] != inst.edgeProb[iv] {
+	g.EachEdgeSlot(func(u, v, uv, vu int) bool {
+		if inst.edgeProb[uv] != inst.edgeProb[vu] {
 			symErr = fmt.Errorf("osn: edge (%d,%d) probability asymmetric: %v vs %v",
-				u, v, inst.edgeProb[iu], inst.edgeProb[iv])
+				u, v, inst.edgeProb[uv], inst.edgeProb[vu])
 			return false
 		}
 		return true
@@ -241,15 +259,15 @@ func fixedScale(g *graph.Graph, bFriend []float64) float64 {
 // that harden users).
 func (in *Instance) Params() Params {
 	return Params{
-		Kind:       append([]Kind(nil), in.kind...),
-		AcceptProb: append([]float64(nil), in.acceptProb...),
-		Theta:      append([]int(nil), in.theta...),
-		BFriend:    append([]float64(nil), in.bFriend...),
-		BFof:       append([]float64(nil), in.bFof...),
-		EdgeProb:   append([]float64(nil), in.edgeProb...),
-		QLow:       append([]float64(nil), in.qLow...),
-		QHigh:      append([]float64(nil), in.qHigh...),
-	}
+		Kind:       in.kind,
+		AcceptProb: in.acceptProb,
+		Theta:      in.theta,
+		BFriend:    in.bFriend,
+		BFof:       in.bFof,
+		EdgeProb:   in.edgeProb,
+		QLow:       in.qLow,
+		QHigh:      in.qHigh,
+	}.clone()
 }
 
 // Graph returns the potential-friendship graph.

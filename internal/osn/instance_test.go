@@ -156,6 +156,13 @@ func TestNewInstanceCopiesSlices(t *testing.T) {
 	if inst.BFriend(0) == 99 {
 		t.Error("instance aliases caller slice")
 	}
+	// Params hands out copies too, edge probabilities and cautious
+	// coins included.
+	q := inst.Params()
+	q.EdgeProb[0], q.QHigh[0], q.AcceptProb[0] = 0.5, 0.5, 0.5
+	if inst.EdgeProb(0) != 1 || inst.QHigh(0) != 1 || inst.AcceptProb(0) != 1 {
+		t.Error("Params aliases instance slices")
+	}
 }
 
 func TestKindString(t *testing.T) {

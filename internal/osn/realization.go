@@ -36,10 +36,10 @@ func (in *Instance) SampleRealization(seed rng.Seed) *Realization {
 		acceptsLow:  make([]bool, in.N()),
 		acceptsHigh: make([]bool, in.N()),
 	}
-	in.g.EachEdge(func(u, v int) bool {
-		if rng.Bernoulli(r, in.edgeProb[in.g.IndexOf(u, v)]) {
-			re.edgeExists[in.g.IndexOf(u, v)] = true
-			re.edgeExists[in.g.IndexOf(v, u)] = true
+	in.g.EachEdgeSlot(func(_, _, uv, vu int) bool {
+		if rng.Bernoulli(r, in.edgeProb[uv]) {
+			re.edgeExists[uv] = true
+			re.edgeExists[vu] = true
 		}
 		return true
 	})
@@ -77,10 +77,10 @@ func (in *Instance) FixedRealizationCautious(edgeExists func(u, v int) bool, acc
 		acceptsLow:  make([]bool, in.N()),
 		acceptsHigh: make([]bool, in.N()),
 	}
-	in.g.EachEdge(func(u, v int) bool {
+	in.g.EachEdgeSlot(func(u, v, uv, vu int) bool {
 		if edgeExists == nil || edgeExists(u, v) {
-			re.edgeExists[in.g.IndexOf(u, v)] = true
-			re.edgeExists[in.g.IndexOf(v, u)] = true
+			re.edgeExists[uv] = true
+			re.edgeExists[vu] = true
 		}
 		return true
 	})

@@ -129,8 +129,10 @@ type entry struct {
 	done    atomic.Int64
 	resumed atomic.Int64
 
-	// reg is the job-scoped metrics registry, created at first claim and
-	// kept after the job finishes so /metrics can still report it.
+	// reg is the job-scoped metrics registry, created fresh at every
+	// claim. After the job finishes it is kept, so /metrics can still
+	// report it, until retainedRegistries later jobs have finished; then
+	// it is dropped (nil) unless the job was resumed in the meantime.
 	reg *obs.Registry
 
 	hub *hub

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -50,6 +51,12 @@ var (
 	errCancelJob = errors.New("serv: job cancelled by client")
 	errDrainJob  = errors.New("serv: job preempted by drain")
 )
+
+// retainedRegistries bounds how many terminal jobs keep their job-scoped
+// metrics registry for /metrics. A registry is most of a finished job's
+// retained heap, so without the bound a long-lived server's memory grows
+// with every job it completes.
+const retainedRegistries = 64
 
 // Config sizes the service.
 type Config struct {
@@ -123,6 +130,10 @@ type Server struct {
 	runningCount int
 	seq          int64
 	draining     bool
+	// finished lists, oldest first, the jobs that keep their registry
+	// after finishing; finishLocked keeps it at most retainedRegistries
+	// long.
+	finished []*entry
 
 	workersWG sync.WaitGroup
 
@@ -418,8 +429,10 @@ func (s *Server) Resume(id string) (Job, error) {
 }
 
 // Metrics returns the merged observability snapshot: server-scoped
-// instruments plus every job's registry prefixed "job.<id>.". With a
-// non-empty jobID only that job's registry is returned (unprefixed).
+// instruments plus every job's registry prefixed "job.<id>.". Only
+// running jobs and the retainedRegistries most recently finished ones
+// still hold a registry. With a non-empty jobID only that job's registry
+// is returned (unprefixed), or an empty snapshot if it has none.
 func (s *Server) Metrics(jobID string) (*obs.Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -606,6 +619,7 @@ func (s *Server) finishLocked(e *entry, st State, errMsg string) {
 	case StateCancelled:
 		s.m.cancelled.Inc()
 	}
+	s.retainRegistryLocked(e)
 	hub := e.hub
 	ev := Event{Type: "state", JobID: e.job.ID, State: st, Error: errMsg}
 	s.logf("job %s: %s%s", e.job.ID, st, errSuffix(errMsg))
@@ -613,6 +627,25 @@ func (s *Server) finishLocked(e *entry, st State, errMsg string) {
 	// before the stream end for every subscriber.
 	hub.publish(ev)
 	hub.close()
+}
+
+// retainRegistryLocked makes e the newest terminal job holding its
+// registry and drops the registry of the job that falls out of the
+// window. A job resumed since it finished is running again on a fresh
+// registry, so it keeps that one. Callers hold s.mu.
+func (s *Server) retainRegistryLocked(e *entry) {
+	if i := slices.Index(s.finished, e); i >= 0 { // finished before, then resumed
+		s.finished = slices.Delete(s.finished, i, i+1)
+	}
+	s.finished = append(s.finished, e)
+	if len(s.finished) <= retainedRegistries {
+		return
+	}
+	old := s.finished[0]
+	s.finished = slices.Delete(s.finished, 0, 1)
+	if old.job.State.terminal() {
+		old.reg = nil
+	}
 }
 
 // errSuffix formats an optional error for a log line.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -636,5 +637,99 @@ func TestMetricsMerge(t *testing.T) {
 	}
 	if _, err := s.Metrics("nosuch"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Metrics(unknown) err = %v, want ErrNotFound", err)
+	}
+}
+
+func TestFinishedRegistriesBounded(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	release := make(chan struct{})
+	var resumedRuns sync.Map // job id → true once its first attempt failed
+	s.execute = func(ctx context.Context, e *entry) (*Result, error) {
+		e.reg.Counter("sim.cells").Add(1)
+		if e.job.ID != "resumed" {
+			return &Result{}, nil
+		}
+		if _, again := resumedRuns.LoadOrStore(e.job.ID, true); !again {
+			return nil, errors.New("first attempt fails")
+		}
+		select {
+		case <-release:
+			return &Result{}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	s.Start()
+	defer drain(t, s)
+
+	// "resumed" enters the window as failed, then runs again (parked on
+	// release) while every later job finishes past it.
+	if _, err := s.Submit(SubmitRequest{ID: "resumed", Spec: testSpec()}); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, s, "resumed", StateFailed)
+	if _, err := s.Resume("resumed"); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	waitState(t, s, "resumed", StateRunning)
+
+	const jobs = retainedRegistries + 6
+	ids := make([]string, jobs)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("j_%02d", i)
+		if _, err := s.Submit(SubmitRequest{ID: ids[i], Spec: testSpec()}); err != nil {
+			t.Fatalf("Submit %s: %v", ids[i], err)
+		}
+	}
+	for _, id := range ids {
+		waitState(t, s, id, StateDone)
+	}
+
+	counters := func(id string) int {
+		t.Helper()
+		snap, err := s.Metrics(id)
+		if err != nil {
+			t.Fatalf("Metrics(%s): %v", id, err)
+		}
+		return len(snap.Counters)
+	}
+	jobPrefixes := func() int {
+		t.Helper()
+		snap, err := s.Metrics("")
+		if err != nil {
+			t.Fatalf("Metrics: %v", err)
+		}
+		seen := map[string]bool{}
+		for _, c := range snap.Counters {
+			if rest, ok := strings.CutPrefix(c.Name, "job."); ok {
+				seen[rest[:strings.IndexByte(rest, '.')]] = true
+			}
+		}
+		return len(seen)
+	}
+	for i, id := range ids {
+		if got, kept := counters(id), i >= jobs-retainedRegistries; (got > 0) != kept {
+			t.Errorf("Metrics(%s) has %d counters, want registry kept = %v", id, got, kept)
+		}
+	}
+	if counters("resumed") == 0 {
+		t.Error("running resumed job lost its registry when it left the window")
+	}
+	if got := jobPrefixes(); got != retainedRegistries+1 {
+		t.Errorf("Metrics(\"\") carries %d job prefixes, want %d finished + 1 running", got, retainedRegistries)
+	}
+
+	// Finishing again makes "resumed" the newest entry and pushes the
+	// oldest kept job out.
+	close(release)
+	waitState(t, s, "resumed", StateDone)
+	if counters("resumed") == 0 {
+		t.Error("resumed job has no registry after finishing")
+	}
+	if got := counters(ids[jobs-retainedRegistries]); got != 0 {
+		t.Errorf("Metrics(%s) has %d counters after a newer job finished, want 0", ids[jobs-retainedRegistries], got)
+	}
+	if got := jobPrefixes(); got > retainedRegistries {
+		t.Errorf("Metrics(\"\") carries %d job prefixes, want <= %d", got, retainedRegistries)
 	}
 }
